@@ -37,7 +37,6 @@ from .generators import (
 )
 from .graph import (
     BipartiteMultigraph,
-    Component,
     ComponentSummary,
     components,
     degrees,

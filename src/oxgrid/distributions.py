@@ -76,8 +76,11 @@ def _mean_derivative(rate: float) -> float:
 def solve_rate(mean: float) -> TruncatedPoissonParams:
     """Invert the mean map: find rate with rate / (1 - e^-rate) == mean.
 
-    Bisection on a bracketing interval (the map is monotone), then a few
-    Newton steps to push the relative residual below 1e-12.
+    Newton's method from rate = mean. The map is rate plus the convex
+    rate / (e^rate - 1), so it is convex and increasing, and Newton started
+    above the root descends monotonically onto it; iteration stops once a
+    step is no longer positive or no longer moves the rate. The relative
+    residual is then checked against 1e-12.
 
     Raises DomainError for mean <= 1 (the map's range is (1, inf)) and
     InputError for non-finite input.
@@ -88,16 +91,18 @@ def solve_rate(mean: float) -> TruncatedPoissonParams:
         raise DomainError(
             f"no solution for mean={mean}: the conditioned mean exceeds 1 for every positive rate"
         )
-    lo, hi = 1e-12, max(50.0, 2.0 * mean)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if implied_mean(mid) < mean:
-            lo = mid
-        else:
-            hi = mid
-    rate = 0.5 * (lo + hi)
-    for _ in range(3):
-        rate -= (implied_mean(rate) - mean) / _mean_derivative(rate)
+    rate = float(mean)
+    while True:
+        excess = implied_mean(rate) - mean
+        # the slope formula cancels to noise below rate ~ 1e-15, where the
+        # excess of any mean above 1 has already reached 0
+        slope = _mean_derivative(rate)
+        if not (excess > 0 and slope > 0):
+            break
+        step = excess / slope
+        if rate - step == rate:
+            break
+        rate -= step
     if abs(implied_mean(rate) - mean) > 1e-12 * mean:
         raise DomainError(f"rate solve did not converge for mean={mean}")
     return TruncatedPoissonParams(

@@ -2,14 +2,14 @@
 
 Graphs are immutable after construction: ``m`` left vertices, ``n`` right
 vertices, and an ordered sequence of edge slots that may repeat (parallel
-edges are preserved, never deduplicated). Component extraction uses
-union-find with path compression and union by size, so sweeps can run
-millions of analyses.
+edges are preserved, never deduplicated). Components come from one
+vectorized hook-and-pointer-jump labelling and are summarised as parallel
+numpy arrays, so sweeps can run millions of analyses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import InputError
 
 __all__ = [
     "BipartiteMultigraph",
-    "Component",
     "ComponentSummary",
     "components",
     "tree_census",
@@ -74,120 +73,106 @@ class BipartiteMultigraph:
 
 
 @dataclass(frozen=True)
-class Component:
-    """One connected component: vertex counts per side and edge-slot count."""
+class ComponentSummary:
+    """All components of a graph as parallel arrays, one entry per component,
+    ordered by each component's smallest vertex (right vertex j counts as
+    m + j), plus the derived statistics sweeps need."""
 
-    left: int
-    right: int
-    edges: int
+    m: int
+    n: int
+    t: int
+    left: np.ndarray
+    right: np.ndarray
+    edges: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ComponentSummary)
+            and (self.m, self.n, self.t) == (other.m, other.n, other.t)
+            and np.array_equal(self.left, other.left)
+            and np.array_equal(self.right, other.right)
+            and np.array_equal(self.edges, other.edges)
+        )
 
     @property
-    def size(self) -> int:
-        return self.left + self.right
+    def n_components(self) -> int:
+        return len(self.left)
 
     @property
-    def is_tree(self) -> bool:
+    def is_tree(self) -> np.ndarray:
         # A connected multigraph with exactly left+right-1 edge slots cannot
         # contain a repeated edge (it would disconnect), so this single test
         # covers both the edge count and the no-parallel-edge condition.
         return self.edges == self.left + self.right - 1
 
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """All components of a graph plus the derived statistics sweeps need."""
-
-    m: int
-    n: int
-    t: int
-    components: tuple[Component, ...]
-    largest: Component = field(init=False)
-    largest_size: int = field(init=False)
-    second_largest_size: int = field(init=False)
-    isolated_left: int = field(init=False)
-    isolated_right: int = field(init=False)
-
-    def __post_init__(self):
-        ordered = sorted(self.components, key=lambda c: c.size, reverse=True)
-        largest = ordered[0] if ordered else Component(0, 0, 0)
-        object.__setattr__(self, "largest", largest)
-        object.__setattr__(self, "largest_size", largest.size)
-        object.__setattr__(
-            self, "second_largest_size", ordered[1].size if len(ordered) > 1 else 0
-        )
-        object.__setattr__(
-            self,
-            "isolated_left",
-            sum(1 for c in self.components if c.edges == 0 and c.left == 1),
-        )
-        object.__setattr__(
-            self,
-            "isolated_right",
-            sum(1 for c in self.components if c.edges == 0 and c.right == 1),
-        )
+    @property
+    def largest(self) -> int:
+        """Index of the first component of maximal size; ValueError when the
+        graph has no vertex."""
+        return int(np.argmax(self.left + self.right))
 
     @property
-    def n_components(self) -> int:
-        return len(self.components)
+    def largest_size(self) -> int:
+        return int((self.left + self.right).max(initial=0))
 
-    def tree_count(self, i: int, j: int) -> int:
-        """Number of tree components with i left and j right vertices."""
-        return sum(
-            1
-            for c in self.components
-            if c.left == i and c.right == j and c.is_tree
-        )
+    @property
+    def second_largest_size(self) -> int:
+        sizes = self.left + self.right
+        if len(sizes) < 2:
+            return 0
+        return int(np.partition(sizes, -2)[-2])
+
+    @property
+    def isolated_left(self) -> int:
+        return int(np.count_nonzero((self.edges == 0) & (self.left == 1)))
+
+    @property
+    def isolated_right(self) -> int:
+        return int(np.count_nonzero((self.edges == 0) & (self.right == 1)))
 
 
-def _union_find_roots(m: int, n: int, edges: np.ndarray) -> list[int]:
-    """Root label per vertex (right vertices offset by m)."""
-    total = m + n
-    parent = list(range(total))
-    size = [1] * total
-    lefts = edges[:, 0].tolist()
-    rights = (edges[:, 1] + m).tolist()
-    for x, y in zip(lefts, rights):
-        # find with path halving
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x == y:
-            continue
-        if size[x] < size[y]:
-            x, y = y, x
-        parent[y] = x
-        size[x] += size[y]
-    roots = [0] * total
-    for v in range(total):
-        r = v
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        roots[v] = r
-    return roots
+def _component_labels(m: int, n: int, edges: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's component (right vertex j is m + j).
+
+    Hook-and-pointer-jump labelling (Shiloach & Vishkin 1982): every edge
+    whose endpoints carry different labels hooks the larger label under the
+    smaller, then labels jump to their labels' labels until stable. Labels
+    only decrease and stay inside their component, so a component's smallest
+    vertex is its one fixed point.
+    """
+    label = np.arange(m + n)
+    u = edges[:, 0]
+    v = edges[:, 1] + m
+    while True:
+        lu = label[u]
+        lv = label[v]
+        # an edge whose ends share a label keeps sharing it
+        cross = lu != lv
+        if not cross.any():
+            return label
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def components(g: BipartiteMultigraph) -> ComponentSummary:
     """Exact connected components; isolated vertices become their own
     zero-edge components."""
-    roots = np.asarray(_union_find_roots(g.m, g.n, g.edges), dtype=np.int64)
+    label = _component_labels(g.m, g.n, g.edges)
     total = g.m + g.n
-    left_counts = np.bincount(roots[: g.m], minlength=total)
-    right_counts = np.bincount(roots[g.m :], minlength=total)
-    edge_counts = (
-        np.bincount(roots[g.edges[:, 0]], minlength=total)
-        if g.t
-        else np.zeros(total, dtype=np.int64)
+    roots = np.flatnonzero(label == np.arange(total))
+    fields = (
+        np.bincount(label[: g.m], minlength=total)[roots],
+        np.bincount(label[g.m :], minlength=total)[roots],
+        np.bincount(label[g.edges[:, 0]], minlength=total)[roots],
     )
-    comp_roots = np.flatnonzero(left_counts + right_counts)
-    comps = tuple(
-        Component(int(left_counts[r]), int(right_counts[r]), int(edge_counts[r]))
-        for r in comp_roots
-    )
-    return ComponentSummary(m=g.m, n=g.n, t=g.t, components=comps)
+    for a in fields:
+        a.setflags(write=False)
+    return ComponentSummary(g.m, g.n, g.t, *fields)
 
 
 def tree_census(summary: ComponentSummary, max_i: int, max_j: int) -> np.ndarray:
@@ -196,9 +181,15 @@ def tree_census(summary: ComponentSummary, max_i: int, max_j: int) -> np.ndarray
     if max_i < 1 or max_j < 1:
         raise InputError("census bounds must be >= 1")
     census = np.zeros((max_i + 1, max_j + 1), dtype=np.int64)
-    for c in summary.components:
-        if c.is_tree and 1 <= c.left <= max_i and 1 <= c.right <= max_j:
-            census[c.left, c.right] += 1
+    left, right = summary.left, summary.right
+    keep = (
+        summary.is_tree
+        & (left >= 1)
+        & (left <= max_i)
+        & (right >= 1)
+        & (right <= max_j)
+    )
+    np.add.at(census, (left[keep], right[keep]), 1)
     return census
 
 
@@ -214,9 +205,7 @@ def is_connected(g: BipartiteMultigraph) -> bool:
         return False
     if g.t < g.m + g.n - 1:
         return False
-    roots = _union_find_roots(g.m, g.n, g.edges)
-    first = roots[0]
-    return all(r == first for r in roots)
+    return not _component_labels(g.m, g.n, g.edges).any()
 
 
 def degrees(g: BipartiteMultigraph) -> tuple[np.ndarray, np.ndarray]:

@@ -201,8 +201,8 @@ def sweep_giant(
             summary = components(sample_tp(_m, _n, _t, rng))
             big = summary.largest
             return {
-                "largest_left_fraction": big.left / _m,
-                "largest_right_fraction": big.right / _n,
+                "largest_left_fraction": int(summary.left[big]) / _m,
+                "largest_right_fraction": int(summary.right[big]) / _n,
                 "largest_size": summary.largest_size,
                 "second_largest_size": summary.second_largest_size,
                 "n_components": summary.n_components,

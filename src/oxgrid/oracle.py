@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import SizeError
 from .generators import tp_multiset_counts
+from .graph import BipartiteMultigraph, components, tree_census
 from .rng import make_stream
 
 __all__ = [
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 SEQUENCE_CAP = 10**7
+# subsets per disjoint-union graph in enumerate_bipartite_trees: large enough
+# to amortise numpy's per-call cost, small enough to keep memory flat
+_TREE_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -102,34 +106,30 @@ def exhaustive_census(
 def enumerate_bipartite_trees(i: int, j: int) -> int:
     """Exact count of labeled spanning trees of the complete bipartite graph
     on (i, j) vertices, by enumerating all (i+j-1)-edge subsets and testing
-    connectivity. Capped at i*j <= 20."""
+    connectivity. Capped at i*j <= 20.
+
+    Each batch of _TREE_CHUNK subsets becomes one graph of disjoint (i, j)
+    blocks; a block with i+j-1 edges is connected exactly when it is an
+    (i, j)-tree, so the batch's count is one entry of its tree census.
+    """
     if i < 1 or j < 1:
         raise SizeError("need i, j >= 1")
     if i * j > 20:
         raise SizeError(f"enumeration capped at i*j <= 20, got {i * j}")
-    all_edges = [(u, i + v) for u in range(i) for v in range(j)]
     need = i + j - 1
+    subsets = combinations(range(i * j), need)
     count = 0
-    for subset in combinations(all_edges, need):
-        parent = list(range(i + j))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged = 0
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                break
-            parent[ru] = rv
-            merged += 1
-        else:
-            if merged == i + j - 1:
-                count += 1
-    return count
+    while True:
+        codes = np.fromiter(
+            chain.from_iterable(islice(subsets, _TREE_CHUNK)), dtype=np.int64
+        ).reshape(-1, need)
+        blocks = codes.shape[0]
+        if blocks == 0:
+            return count
+        block = np.arange(blocks)[:, None]
+        edges = np.stack([block * i + codes // j, block * j + codes % j], axis=-1)
+        g = BipartiteMultigraph(blocks * i, blocks * j, edges.reshape(-1, 2))
+        count += int(tree_census(components(g), i, j)[i, j])
 
 
 @dataclass(frozen=True)

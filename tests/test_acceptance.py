@@ -159,7 +159,7 @@ def test_c4_giant_component_fraction():
     second_sizes = []
     for i in range(reps):
         summary = components(sample_tp(m, n, t, split_stream(SEED, i)))
-        deviations.append(abs(summary.largest.left / m - target))
+        deviations.append(abs(summary.left[summary.largest] / m - target))
         second_sizes.append(summary.second_largest_size)
     mean_dev = float(np.mean(deviations))
     ok = mean_dev <= 0.01 and residual <= 1e-12 and max(second_sizes) <= 60

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oxgrid.cli import main
+from oxgrid.cli import _verify_oracle, main
 from oxgrid.ingest import fixture_names, load_fixture
 
 
@@ -140,6 +140,13 @@ def test_verify_equivalence_suite(capsys):
                            "--samples", "20000")
     assert code == 0
     assert out.count("PASS") == 2
+
+
+def test_verify_oracle_counts_every_instance_within_the_cap():
+    # (2, 5, 6) has exactly 10**6 sequences, so it lies within the cap
+    results = dict((name, ok) for name, ok, _ in _verify_oracle(10**6))
+    assert results["exact counts vs enumeration (200 instances)"]
+    assert results["labeled-tree formula vs enumeration (66 pairs)"]
 
 
 def test_fixture_loading_used_by_cli_matches_api():

@@ -47,7 +47,7 @@ def test_solve_rate_domain():
         solve_rate(float("inf"))
 
 
-@pytest.mark.parametrize("mean", [1.01, 1.5, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("mean", [1 + 1e-10, 1.01, 1.5, 2.0, 5.0, 20.0, 1e3, 1e6])
 def test_solve_rate_is_verified_inverse(mean):
     params = solve_rate(mean)
     assert abs(implied_mean(params.rate) - mean) <= 1e-10 * mean

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from oxgrid.errors import InputError
 from oxgrid.graph import (
@@ -19,8 +21,7 @@ def test_path_component_is_tree():
     g = BipartiteMultigraph(2, 1, [(0, 0), (1, 0)])
     s = components(g)
     assert s.n_components == 1
-    c = s.components[0]
-    assert (c.left, c.right, c.edges, c.is_tree) == (2, 1, 2, True)
+    assert (s.left[0], s.right[0], s.edges[0], s.is_tree[0]) == (2, 1, 2, True)
     assert is_connected(g)
 
 
@@ -28,8 +29,8 @@ def test_parallel_edge_is_not_a_tree():
     g = BipartiteMultigraph(1, 1, [(0, 0), (0, 0)])
     s = components(g)
     assert s.n_components == 1
-    assert s.components[0].edges == 2
-    assert not s.components[0].is_tree
+    assert s.edges[0] == 2
+    assert not s.is_tree[0]
 
 
 def test_four_cycle_is_not_a_tree():
@@ -78,7 +79,7 @@ def test_degree_helpers():
 
 
 def _reference_components(g):
-    """Independent BFS component finder used as an oracle for union-find."""
+    """Independent BFS component finder used as an oracle for the labelling."""
     adjacency = {v: set() for v in range(g.m + g.n)}
     for l, r in g.edges:
         adjacency[int(l)].add(int(r) + g.m)
@@ -109,7 +110,8 @@ def test_components_match_bfs_reference(seed):
     rng = make_stream(seed)
     m, n, t = rng.integers(1, 12), rng.integers(1, 12), rng.integers(0, 30)
     g = sample_gr(int(m), int(n), int(t), rng)
-    got = sorted((c.left, c.right, c.edges) for c in components(g).components)
+    s = components(g)
+    got = sorted(zip(s.left.tolist(), s.right.tolist(), s.edges.tolist()))
     assert got == _reference_components(g)
 
 
@@ -118,9 +120,9 @@ def test_summary_totals_reconcile(seed):
     rng = make_stream(100 + seed)
     g = sample_gr(15, 9, 25, rng)
     s = components(g)
-    assert sum(c.left for c in s.components) == g.m
-    assert sum(c.right for c in s.components) == g.n
-    assert sum(c.edges for c in s.components) == g.t
+    assert s.left.sum() == g.m
+    assert s.right.sum() == g.n
+    assert s.edges.sum() == g.t
     assert s.isolated_left == sum(1 for d in degrees(g)[0] if d == 0)
     assert s.isolated_right == sum(1 for d in degrees(g)[1] if d == 0)
     census = tree_census(s, 6, 6)
@@ -132,9 +134,11 @@ def test_census_is_edge_order_invariant(seed):
     rng = make_stream(200 + seed)
     g = sample_gr(10, 10, 22, rng)
     shuffled = BipartiteMultigraph(g.m, g.n, g.edges[rng.permutation(g.t)])
-    a = tree_census(components(g), 5, 5)
-    b = tree_census(components(shuffled), 5, 5)
-    assert np.array_equal(a, b)
+    a = components(g)
+    b = components(shuffled)
+    assert np.array_equal(tree_census(a, 5, 5), tree_census(b, 5, 5))
+    assert a == b
+    assert a.largest == b.largest
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -153,3 +157,31 @@ def test_tree_census_bounds():
     assert tree_census(s, 2, 2).sum() == 0  # (3,1) tree lies outside bounds
     with pytest.raises(InputError):
         tree_census(s, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "m, n, t",
+    [(0, 0, 0), (1, 0, 0), (0, 3, 0), (1, 1, 0), (5, 3, 0), (1, 1, 4), (2, 7, 3),
+     (30, 20, 25), (200, 300, 150), (1000, 1000, 1500), (10_000, 7000, 12_000),
+     (10_000, 10_000, 30_000)],
+)
+def test_components_match_scipy(m, n, t):
+    rng = make_stream(400 + m + n + t)
+    # parallel edges and isolated vertices occur at these densities
+    g = sample_gr(m, n, t, rng) if m and n else BipartiteMultigraph(m, n, [])
+    s = components(g)
+    total = m + n
+    adjacency = coo_matrix(
+        (np.ones(g.t), (g.edges[:, 0], g.edges[:, 1] + m)), shape=(total, total)
+    )
+    k, label = connected_components(adjacency, directed=False)
+    assert s.n_components == k
+    assert np.array_equal(s.left, np.bincount(label[:m], minlength=k))
+    assert np.array_equal(s.right, np.bincount(label[m:], minlength=k))
+    assert np.array_equal(s.edges, np.bincount(label[g.edges[:, 0]], minlength=k))
+    sizes = s.left + s.right
+    assert s.largest_size == (sizes.max() if k else 0)
+    if k:
+        assert s.largest == np.flatnonzero(sizes == sizes.max())[0]
+    assert s.second_largest_size == (np.sort(sizes)[-2] if k > 1 else 0)
+    assert is_connected(g) == (total == 0 or (k == 1 and g.t > 0))

@@ -37,7 +37,7 @@ def test_parse_edge_list_duplicates_become_parallel():
     with pytest.warns(UserWarning, match="parallel"):
         d = parse_edge_list("A,B\nA,B")
     assert d.graph.t == 2
-    assert not components(d.graph).components[0].is_tree
+    assert not components(d.graph).is_tree[0]
 
 
 def test_parse_edge_list_errors():
@@ -66,7 +66,7 @@ def test_parse_matrix_all_ones_is_cycle():
     d = parse_matrix("1,1\n1,1")
     s = components(d.graph)
     assert s.n_components == 1
-    assert not s.components[0].is_tree
+    assert not s.is_tree[0]
 
 
 def test_parse_matrix_with_labels_and_isolates():
@@ -168,7 +168,7 @@ def test_fixture_census_matches_published_observations(name):
 def test_monkey_component_size_profile():
     d = load_fixture("human_monkey")
     s = components(d.graph)
-    sizes = sorted(c.size for c in s.components)
+    sizes = sorted((s.left + s.right).tolist())
     assert s.n_components == 17
     assert sizes == [2] * 12 + [3, 3, 3, 4, 6]
     assert not is_connected(d.graph)
@@ -176,15 +176,15 @@ def test_monkey_component_size_profile():
 
 def test_elephant_component_profile():
     s = components(load_fixture("human_elephant").graph)
-    sizes = sorted((c.size for c in s.components), reverse=True)
+    sizes = sorted((s.left + s.right).tolist(), reverse=True)
     assert sizes == [33, 8, 2, 2, 2, 2]
     big = s.largest
-    assert (big.left, big.right, big.is_tree) == (14, 19, True)
+    assert (s.left[big], s.right[big], s.is_tree[big]) == (14, 19, True)
 
 
 def test_dog_component_profile():
     s = components(load_fixture("human_dog").graph)
-    sizes = sorted((c.size for c in s.components), reverse=True)
+    sizes = sorted((s.left + s.right).tolist(), reverse=True)
     assert sizes == [54, 2, 2, 2]
 
 
