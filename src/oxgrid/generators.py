@@ -7,7 +7,12 @@
 * ``tp``  — configuration model: truncated-Poisson degree vectors
             conditioned to sum to t on each side, stubs paired by a
             uniform permutation. Distribution-identical to ``gr1`` and
-            the fast path at scale.
+            the fast path at scale. The conditioning is exact
+            probabilistic divide-and-conquer: a long vector keeps a drawn
+            first half with probability proportional to the chance that
+            the rest sums to what is left, then conditions the rest in the
+            same way; vectors of at most ``_LEAF`` coordinates are drawn
+            whole until their sum hits.
 * ``er``  — independent edges with probability p on an M x N grid.
 
 All generators are pure functions of their arguments and an explicit rng
@@ -18,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .distributions import TruncatedPoissonParams, sample_truncated, solve_rate
+from .distributions import TruncatedPoissonParams, pmf, sample_truncated, solve_rate
 from .errors import AttemptsExhausted, InputError
 from .graph import BipartiteMultigraph
 from .rng import make_stream
@@ -122,75 +128,191 @@ def sample_gr1(
     )
 
 
-def _conditioned_batch_size(params: TruncatedPoissonParams, count: int) -> int:
-    # Local CLT: P(sum hits its target) ~ 1/sqrt(2 pi var count). Batches of
-    # roughly a fifth of the expected waiting time keep the overshoot small.
+# Vectors of at most this many coordinates are conditioned by whole-vector
+# rejection, longer ones are split in half first. At 64 the genome fixtures'
+# sides (19 to 38 vertices) stay on the rejection loop, which costs them less
+# than a split and its sum-law table.
+_LEAF = 64
+
+# A row whose remaining target lies more than this many standard deviations
+# from its mean at the current rate is conditioned afresh at the rate of its
+# own mean. At the current rate a target z sd out is kept about e^(-z^2/2)
+# times as often as one at the mean, and targets stray further level by
+# level: at m = 2000, t = 8294 the longest of 4000 waits was 11,981
+# candidates without the fresh start and 373 with it, and single waits
+# without it passed the default budget of a million.
+_STRAY = 2.0
+
+
+@lru_cache(maxsize=128)
+def _sum_law(rate: float, j: int) -> tuple[int, np.ndarray]:
+    """``(first, law)`` with ``law[i] = P(S_j = first + i) / max_r P(S_j = r)``,
+    where S_j sums j iid truncated-Poisson(rate) values.
+
+    The pmf, shifted to support 0..K-1, is raised to the j-th power by FFT
+    modulo N, a power of two with N >= 80 sd + 2K, and read cyclically from
+    N/2 below the mean, so the mass that wraps onto the window lies over
+    40 sd from the mean. A zero at each end makes a clipped lookup read 0
+    outside the window. Threads share the table, so it is read-only.
+    """
+    params = TruncatedPoissonParams.from_rate(rate)
+    # pmf works in log space: pmf_table's recurrence starts at e^-rate,
+    # which underflows above rate ~ 745
+    k_max = int(rate + 60 + 40 * math.sqrt(rate))
+    shifted = pmf(params, np.arange(1, k_max + 1))
+    size = 1 << math.ceil(math.log2(80 * math.sqrt(j * params.variance) + 2 * k_max))
+    cyclic = np.fft.irfft(np.fft.rfft(shifted, size) ** j, size)
+    lo = max(0, round(j * (params.mean - 1)) - size // 2)
+    law = np.zeros(size + 2)
+    law[1:-1] = np.maximum(cyclic[np.arange(lo, lo + size) % size], 0.0)
+    law /= law.max()
+    law.setflags(write=False)
+    return j + lo - 1, law
+
+
+class _Budget:
+    """Candidate vectors drawn by one conditioning call, how many of them
+    were accepted and how many their acceptance probabilities predicted;
+    the limit is checked before each batch."""
+
+    def __init__(self, count: int, total: int, limit: int):
+        self.count, self.total, self.limit = count, total, limit
+        self.drawn = 0
+        self.accepted = 0
+        self.expected = 0.0
+
+    def spend(self, candidates: int, expected_accepted: float) -> None:
+        if self.drawn >= self.limit:
+            raise AttemptsExhausted(
+                f"degree-sum conditioning stopped at its budget of {self.limit} "
+                f"candidate vectors (count={self.count}, total={self.total}): "
+                f"attempts={self.drawn}, accepted={self.accepted}, observed acceptance "
+                f"{self.accepted / self.drawn:.3g}, predicted {self.expected / self.drawn:.3g}"
+            )
+        self.drawn += candidates
+        self.expected += expected_accepted
+
+
+def _accepted_prefixes(
+    params: TruncatedPoissonParams,
+    h: int,
+    j: int,
+    targets: np.ndarray,
+    predicted: np.ndarray,
+    rng: np.random.Generator,
+    budget: _Budget,
+) -> np.ndarray:
+    """One h-coordinate prefix per row: iid draws, kept with probability
+    P(S_j = target - s) / max_r P(S_j = r), where s is the prefix sum.
+    ``predicted`` is each row's estimated chance of keeping a candidate."""
+    first, law = _sum_law(params.rate, j)
+    out = np.empty((targets.size, h), dtype=np.int64)
+    open_rows = np.arange(targets.size)
+    while open_rows.size:
+        budget.spend(open_rows.size, float(predicted[open_rows].sum()))
+        draws = sample_truncated(params, rng, open_rows.size * h).reshape(-1, h)
+        left = targets[open_rows] - draws.sum(axis=1)
+        keep = rng.random(open_rows.size) < law.take(left - first, mode="clip")
+        out[open_rows[keep]] = draws[keep]
+        budget.accepted += int(np.count_nonzero(keep))
+        open_rows = open_rows[~keep]
+    return out
+
+
+def _leaf_vectors(
+    params: TruncatedPoissonParams,
+    count: int,
+    target: int,
+    vectors: int,
+    rng: np.random.Generator,
+    budget: _Budget,
+) -> np.ndarray:
+    """``vectors`` vectors of ``count`` iid draws, each summing to ``target``,
+    by whole-vector rejection: batches of candidates whose hits fill the
+    rows in order."""
+    # local CLT at the mean: P(sum hits target) ~ 1/sqrt(2 pi var count)
     p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
-    return int(min(4096, max(8, round(0.2 / p_hit))))
+    if vectors == 1:
+        # the wait is geometric, its sd near its mean: batches of about a
+        # fifth of it keep the overshoot small
+        batch = int(min(4096, max(8, round(0.2 / p_hit))))
+    else:
+        # 1.2 times the expected need mostly finishes in one batch
+        batch = max(64, min(int(1.2 * vectors / p_hit) + 1, 4_000_000 // count))
+    collected: list[np.ndarray] = []
+    have = 0
+    while have < vectors:
+        budget.spend(batch, batch * min(1.0, p_hit))
+        draws = sample_truncated(params, rng, batch * count).reshape(batch, count)
+        hits = draws[draws.sum(axis=1) == target]
+        budget.accepted += hits.shape[0]
+        if hits.shape[0]:
+            collected.append(hits)
+            have += hits.shape[0]
+    return np.concatenate(collected)[:vectors]
 
 
-def _degrees_summing_to(
+def _condition(
+    vectors: int, count: int, total: int, rng: np.random.Generator, budget: _Budget
+) -> np.ndarray:
+    """The body of :func:`_conditioned_degrees`; fresh starts share its budget."""
+    if total == count:
+        return np.ones((vectors, count), dtype=np.int64)  # forced: every degree is 1
+    if count == 1:
+        return np.full((vectors, 1), total, dtype=np.int64)  # forced single vertex
+    params = solve_rate(total / count)
+    if count <= _LEAF:
+        return _leaf_vectors(params, count, total, vectors, rng, budget)
+    out = np.empty((vectors, count), dtype=np.int64)
+    targets = np.full(vectors, total, dtype=np.int64)
+    rows = np.arange(vectors)  # the rows still conditioned at this rate
+    z = np.zeros(vectors)  # their targets' distance from the mean, in sd
+    done = 0
+    while rows.size:
+        h = (count - done) // 2
+        rest = count - done - h
+        # local CLT: a row keeps a candidate with chance ~ sqrt(j/(h+j)) e^(-z^2/2)
+        predicted = math.sqrt(rest / (count - done)) * np.exp(-0.5 * z * z)
+        prefix = _accepted_prefixes(params, h, rest, targets[rows], predicted, rng, budget)
+        out[rows, done : done + h] = prefix
+        targets[rows] -= prefix.sum(axis=1)
+        done += h
+        z = (targets[rows] - rest * params.mean) / math.sqrt(rest * params.variance)
+        fresh = np.abs(z) > _STRAY if rest > _LEAF else np.ones(rows.size, dtype=bool)
+        for target in np.unique(targets[rows[fresh]]):
+            group = rows[fresh & (targets[rows] == target)]
+            out[group, done:] = _condition(group.size, rest, int(target), rng, budget)
+        rows, z = rows[~fresh], z[~fresh]
+    return out
+
+
+def _conditioned_degrees(
+    vectors: int,
     count: int,
     total: int,
     rng: np.random.Generator,
     max_attempts: int,
 ) -> np.ndarray:
-    """One vector of `count` iid truncated-Poisson degrees conditioned on
-    summing to `total`, by whole-vector rejection (exact conditional law)."""
-    if total == count:
-        return np.ones(count, dtype=np.int64)  # forced: every degree is 1
-    if count == 1:
-        return np.array([total], dtype=np.int64)  # forced single vertex
-    params = solve_rate(total / count)
-    batch = _conditioned_batch_size(params, count)
-    attempts = 0
-    while attempts < max_attempts:
-        draws = sample_truncated(params, rng, batch * count).reshape(batch, count)
-        hits = np.flatnonzero(draws.sum(axis=1) == total)
-        if hits.size:
-            return draws[hits[0]].astype(np.int64)
-        attempts += batch
-    raise AttemptsExhausted(
-        f"degree-sum conditioning failed after {attempts} resampled vectors "
-        f"(count={count}, total={total})"
-    )
+    """``vectors`` independent vectors of ``count`` iid truncated-Poisson
+    degrees with mean total/count, each conditioned on summing to ``total``;
+    shape (vectors, count).
 
-
-def _degrees_summing_to_many(
-    vectors: int,
-    count: int,
-    total: int,
-    rng: np.random.Generator,
-    max_attempts: int | None = None,
-) -> np.ndarray:
-    """Stacked conditioned degree vectors, shape (vectors, count)."""
-    if total == count:
-        return np.ones((vectors, count), dtype=np.int64)
-    if count == 1:
-        return np.full((vectors, 1), total, dtype=np.int64)
-    params = solve_rate(total / count)
-    p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
-    if max_attempts is None:
-        max_attempts = int(1000 + 30 * vectors / p_hit)
-    chunk_rows = max(64, min(int(1.2 * vectors / p_hit) + 1, 4_000_000 // max(count, 1)))
-    collected: list[np.ndarray] = []
-    have = 0
-    attempts = 0
-    while have < vectors:
-        if attempts >= max_attempts:
-            raise AttemptsExhausted(
-                f"bulk degree-sum conditioning stalled after {attempts} vectors "
-                f"(count={count}, total={total})"
-            )
-        draws = sample_truncated(params, rng, chunk_rows * count).reshape(
-            chunk_rows, count
-        )
-        hits = draws[draws.sum(axis=1) == total]
-        attempts += chunk_rows
-        if hits.shape[0]:
-            collected.append(hits)
-            have += hits.shape[0]
-    return np.concatenate(collected)[:vectors].astype(np.int64)
+    Probabilistic divide-and-conquer (Arratia & DeSalvo, Combin. Probab.
+    Comput. 25(3), 2016). A vector longer than ``_LEAF`` draws its first
+    h = count // 2 coordinates iid and keeps them with probability
+    P(S_j = total - s) / max_r P(S_j = r), where s is their sum and S_j the
+    sum of the other j = count - h; the rest is then conditioned in the same
+    way on its own remaining total, which differs between rows. The law of
+    the rest given its total does not depend on the rate, so a rest of at
+    most ``_LEAF`` coordinates, or one whose total strayed more than
+    ``_STRAY`` sd from its mean, starts afresh at the rate of its own mean;
+    at most ``_LEAF`` coordinates are drawn whole until their sum hits the
+    total, rows with equal totals together. Every step is exact, so the
+    vectors follow the conditional law up to float rounding in the tables.
+    ``max_attempts`` bounds the candidate vectors (prefixes and whole
+    leaves) over the whole call.
+    """
+    return _condition(vectors, count, total, rng, _Budget(count, total, max_attempts))
 
 
 def sample_tp(
@@ -203,8 +325,13 @@ def sample_tp(
     """Truncated-Poisson configuration model.
 
     Left degrees are iid truncated Poisson with mean t/m conditioned to sum
-    to t (rejection), right degrees likewise with mean t/n; vertex stubs are
-    then paired by a single uniform permutation and collapsed.
+    to t, right degrees likewise with mean t/n; vertex stubs are then paired
+    by a single uniform permutation and collapsed. Each side is conditioned
+    by :func:`_conditioned_degrees`: sides longer than ``_LEAF`` are split
+    in half, the first half drawn iid and kept with probability proportional
+    to the chance that the second sums to what is left, recursively; shorter
+    ones are redrawn whole until their sum is t. ``max_attempts`` bounds the
+    candidate vectors drawn per side.
     """
     if m < 1 or n < 1:
         raise InputError("m and n must be >= 1")
@@ -212,8 +339,8 @@ def sample_tp(
         raise InputError(
             f"t={t} < max(m, n)={max(m, n)}: some vertex must stay isolated"
         )
-    left_deg = _degrees_summing_to(m, t, rng, max_attempts)
-    right_deg = _degrees_summing_to(n, t, rng, max_attempts)
+    left_deg = _conditioned_degrees(1, m, t, rng, max_attempts)[0]
+    right_deg = _conditioned_degrees(1, n, t, rng, max_attempts)[0]
     left_stubs = np.repeat(np.arange(m, dtype=np.int64), left_deg)
     right_stubs = np.repeat(np.arange(n, dtype=np.int64), right_deg)
     paired = right_stubs[rng.permutation(t)]
@@ -277,15 +404,20 @@ def tp_multiset_counts(
     """Empirical distribution of the tp model over canonical edge multisets.
 
     Vectorizes the same construction as :func:`sample_tp` across all samples:
-    conditioned degree vectors, stub expansion, per-row uniform pairing.
-    Keys are sorted tuples of edge codes left*n + right.
+    conditioned degree vectors (one :func:`_conditioned_degrees` call per
+    side, each row splitting and conditioning on its own remaining total),
+    stub expansion, per-row uniform pairing. Keys are sorted tuples of edge
+    codes left*n + right. ``max_attempts`` bounds the candidate vectors per
+    side; by default it is DEFAULT_MAX_ATTEMPTS per sample.
     """
     if t < max(m, n):
         raise InputError("t must be >= max(m, n)")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    left = _degrees_summing_to_many(samples, m, t, rng, max_attempts)
-    right = _degrees_summing_to_many(samples, n, t, rng, max_attempts)
+    if max_attempts is None:
+        max_attempts = DEFAULT_MAX_ATTEMPTS * samples
+    left = _conditioned_degrees(samples, m, t, rng, max_attempts)
+    right = _conditioned_degrees(samples, n, t, rng, max_attempts)
     # each row sums to t, so the flattened repeat reshapes cleanly
     left_stubs = np.repeat(np.tile(np.arange(m, dtype=np.int64), samples), left.ravel())
     left_stubs = left_stubs.reshape(samples, t)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oxgrid import generators
 from oxgrid.distributions import pmf, solve_rate
 from oxgrid.errors import AttemptsExhausted, InputError
 from oxgrid.generators import (
@@ -177,6 +179,125 @@ def test_min_degree_one_degree_histogram_matches_truncated_pmf():
     expected[-1] = 1.0 - expected[:-1].sum()
     result = stats.chisquare(observed, expected * m)
     assert result.pvalue >= 0.001
+
+
+# ----------------------------------------------------------------------
+# divide-and-conquer degree conditioning
+# ----------------------------------------------------------------------
+
+
+def _chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Goodness of fit, with cells expected below 5 pooled into one."""
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return stats.chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize("stray", [0.0, math.inf])
+@pytest.mark.parametrize("leaf", [1, 2])
+@pytest.mark.parametrize("count,total", [(5, 9), (6, 8), (7, 12)])
+def test_conditioned_degrees_match_enumerated_law(monkeypatch, leaf, stray, count, total):
+    # with the leaf at 1 or 2 every split of the recursion, and its per-row
+    # targets, runs on a size whose conditional law can be listed in full;
+    # rows restart at their own rate after every split (stray 0) or never
+    monkeypatch.setattr(generators, "_LEAF", leaf)
+    monkeypatch.setattr(generators, "_STRAY", stray)
+    params = solve_rate(total / count)
+    vectors = [
+        tuple(np.diff((0, *cuts, total)).tolist())
+        for cuts in itertools.combinations(range(1, total), count - 1)
+    ]
+    weights = np.array([np.prod(pmf(params, np.array(v))) for v in vectors])
+    samples = 40_000
+    draws = generators._conditioned_degrees(samples, count, total, make_stream(91), 10**9)
+    index = {v: i for i, v in enumerate(vectors)}
+    observed = np.bincount([index[tuple(row)] for row in draws.tolist()], minlength=len(vectors))
+    assert _chi_square_pvalue(observed, samples * weights / weights.sum()) >= 0.001
+
+
+@pytest.mark.parametrize("leaf", [1, 2])
+def test_tp_multiset_counts_recursion_matches_exhaustive_census(monkeypatch, leaf):
+    monkeypatch.setattr(generators, "_LEAF", leaf)
+    census = exhaustive_census(2, 3, 4)
+    samples = 100_000
+    counts = tp_multiset_counts(2, 3, 4, samples, make_stream(92))
+    assert set(counts) <= set(census.outcome_frequencies)
+    keys = sorted(census.outcome_frequencies)
+    observed = np.array([counts.get(k, 0) for k in keys])
+    exact = np.array([census.outcome_frequencies[k] for k in keys]) / census.valid_count
+    expected = exact * samples
+    assert _chi_square_pvalue(observed, expected) >= 0.001
+
+
+def test_tp_recursion_left_degrees_match_gr1(monkeypatch):
+    # a moderate size against the reference rejection sampler, which
+    # accepts about 61% of its draws here
+    monkeypatch.setattr(generators, "_LEAF", 2)
+    m = n = 100
+    t = 600
+    reps = 300
+    kmax = 14
+    hist = np.zeros((2, kmax), dtype=np.int64)
+    for i in range(reps):
+        for row, g in enumerate(
+            (sample_tp(m, n, t, split_stream(93, i)), sample_gr1(m, n, t, split_stream(94, i)))
+        ):
+            left, _ = degrees(g)
+            hist[row] += np.bincount(np.minimum(left, kmax), minlength=kmax + 1)[1:]
+    assert hist.sum() == 2 * reps * m
+    assert stats.chi2_contingency(hist[:, hist.min(axis=0) >= 5]).pvalue >= 0.001
+
+
+def test_conditioning_requests_stay_linear_in_count(monkeypatch):
+    # the whole-vector rejection asked for 525,000,000 values in one call
+    # at this size (3.9 GiB); a split draws at most half a side, a leaf at
+    # most 4096 candidates of at most _LEAF values
+    requests = []
+    real = generators.sample_truncated
+
+    def spy(params, rng, size=None):
+        requests.append(1 if size is None else int(size))
+        return real(params, rng, size)
+
+    monkeypatch.setattr(generators, "sample_truncated", spy)
+    n = 10**6
+    t = 1_930_000
+    g = sample_tp(n, n, t, make_stream(1))
+    left, right = degrees(g)
+    assert max(requests) <= n
+    assert g.t == t
+    assert left.min() >= 1 and right.min() >= 1
+    assert left.sum() == t and right.sum() == t
+
+
+def test_strayed_targets_start_afresh(monkeypatch):
+    # deep in the recursion a row's remaining total can sit far in the tail
+    # of its sum law, where a level kept at the first rate redraws its prefix
+    # thousands of times; a fresh start at the row's own rate keeps every
+    # level near its usual acceptance, so no level redraws 150 times
+    draws = []
+    real = generators.sample_truncated
+
+    def spy(params, rng, size=None):
+        draws.append((params.rate, size))
+        return real(params, rng, size)
+
+    monkeypatch.setattr(generators, "sample_truncated", spy)
+    for i in range(1000):
+        draws.clear()
+        generators._conditioned_degrees(1, 2000, 8294, split_stream(96, i), 10**6)
+        runs = [len(list(run)) for _, run in itertools.groupby(draws)]
+        assert max(runs) <= 150
+
+
+def test_conditioning_budget_failure_is_informative():
+    with pytest.raises(AttemptsExhausted) as err:
+        sample_tp(2000, 2000, 2600, make_stream(0), max_attempts=1)
+    message = str(err.value)
+    for field in ("count=2000", "total=2600", "attempts=", "observed acceptance", "predicted"):
+        assert field in message
 
 
 # ----------------------------------------------------------------------
