@@ -269,6 +269,9 @@ def _verify_equivalence(samples: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
+    # a cap below 1 admits no instance, which would pass vacuously
+    if not (math.isfinite(args.cap) and args.cap >= 1):
+        raise InputError(f"--cap must be a finite number >= 1, got {args.cap}")
     cap = int(args.cap)
     print(f"# suite={args.suite} cap={cap} samples={args.samples} seed={args.seed}")
     results: list[tuple[str, bool, str]] = []

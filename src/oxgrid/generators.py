@@ -388,9 +388,17 @@ def er_params_for(m: int, n: int, t: int) -> tuple[int, int, float]:
 
 
 def _multiset_counts_from_codes(code_rows: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Count the rows of edge codes as multisets: each row sorted, then the
+    rows sorted lexicographically and cut into runs of equal rows. Keys come
+    in ascending lexicographic order. Needs at least one row."""
     ordered = np.sort(code_rows, axis=1)
-    uniq, counts = np.unique(ordered, axis=0, return_counts=True)
-    return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
+    # lexsort's primary key is its last one
+    ordered = ordered[np.lexsort(ordered.T[::-1])]
+    starts = np.flatnonzero(
+        np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    )
+    counts = np.diff(np.append(starts, ordered.shape[0]))
+    return dict(zip(map(tuple, ordered[starts].tolist()), counts.tolist()))
 
 
 def tp_multiset_counts(

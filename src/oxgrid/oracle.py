@@ -1,21 +1,30 @@
 """Brute-force ground truth for tiny instances.
 
-Exhaustive enumeration of ordered edge sequences, exact spanning-tree
-counts on complete bipartite graphs, and the statistical equivalence test
-between the configuration-model sampler and the exact uniform law. Wherever
-these oracles and the closed-form theory overlap, the oracles win.
+Every oracle here judges each object it enumerates on its own:
+
+- ``exhaustive_census`` tests each of the (m*n)^t ordered edge sequences
+  for minimum degree 1. A sequence is a base-(m*n) number, split into a
+  prefix of its low digits and a suffix of its high ones (meet in the
+  middle, Horowitz & Sahni 1974); the coverage mask of each half comes from
+  a small table, so a sequence costs one OR and one compare.
+- ``enumerate_bipartite_trees`` lists the (i+j-1)-edge subsets of the
+  complete bipartite graph as bit masks, drops those that leave a vertex
+  uncovered, and judges the rest with the package's component labelling.
+- ``tp_equivalence_test`` compares configuration-model samples with the
+  exact uniform law of the census, tallied by the same multiset routine.
+
+Wherever these oracles and the closed-form theory overlap, the oracles win.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import SizeError
-from .generators import tp_multiset_counts
+from .generators import _multiset_counts_from_codes, tp_multiset_counts
 from .graph import BipartiteMultigraph, components, tree_census
 from .rng import make_stream
 
@@ -51,6 +60,19 @@ class ExhaustiveCensus:
     outcome_frequencies: dict[tuple[int, ...], int]
 
 
+def _coverage_masks(m: int, n: int, digits: int, dtype: np.dtype) -> np.ndarray:
+    """Coverage mask of every sequence of ``digits`` edge codes, at the
+    sequence's base-(m*n) index with its first edge as the lowest digit.
+    Left vertex a sets bit a and right vertex b sets bit m + b."""
+    code = np.arange(m * n)
+    edge = ((1 << (code // n)) | (1 << (m + code % n))).astype(dtype)
+    masks = np.zeros(1, dtype=dtype)
+    for _ in range(digits):
+        # the edge added last is the highest digit
+        masks = (edge[:, None] | masks).ravel()
+    return masks
+
+
 def exhaustive_census(
     m: int,
     n: int,
@@ -59,8 +81,16 @@ def exhaustive_census(
     track_outcomes: bool = True,
     chunk: int = 1 << 18,
 ) -> ExhaustiveCensus:
-    """Iterate every ordered edge sequence, recording validity and (optionally)
-    the multiset frequencies of the valid ones.
+    """Test every ordered edge sequence for minimum degree 1, recording the
+    valid count and (optionally) the multiset frequencies of the valid ones.
+
+    Sequence s is the base-(m*n) number of its edge codes, first edge
+    lowest. It splits into a prefix of the low t//2 digits and a suffix of
+    the rest, and its coverage mask is the OR of the suffix's and the
+    prefix's entries in two tables of at most (m*n)^ceil(t/2) masks, so each
+    sequence costs one OR and one compare. The index space is visited in
+    ``chunk``-sized ranges; with ``track_outcomes`` only the valid indices
+    of a range are decoded into edge codes and tallied.
 
     Raises SizeError when (m*n)^t exceeds ``cap``. When t < max(m, n) no
     sequence can be valid, so nothing is iterated.
@@ -72,64 +102,73 @@ def exhaustive_census(
         raise SizeError(f"(m*n)^t = {total} exceeds the cap {cap}")
     if t < max(m, n):
         return ExhaustiveCensus(m, n, t, total, 0, {})
-    # t >= max(m, n) and (m*n)^t <= cap force m, n to be small, so 64-bit
-    # coverage masks suffice
-    full_left = (1 << m) - 1
-    full_right = (1 << n) - 1
+    # t >= max(m, n) and (m*n)^t <= cap force m, n to be small, so m + n
+    # coverage bits fit a machine integer
+    full = (1 << (m + n)) - 1
+    dtype = np.min_scalar_type(full)
+    low_masks = _coverage_masks(m, n, t // 2, dtype)
+    high_masks = _coverage_masks(m, n, t - t // 2, dtype)
+    width = low_masks.shape[0]
     mn = m * n
     valid = 0
     freq: dict[tuple[int, ...], int] = {}
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        rows = idx.shape[0]
-        digits = np.empty((rows, t), dtype=np.int64) if track_outcomes else None
-        left_mask = np.zeros(rows, dtype=np.int64)
-        right_mask = np.zeros(rows, dtype=np.int64)
-        rem = idx
-        for pos in range(t):
-            rem, digit = np.divmod(rem, mn)
-            left_mask |= np.int64(1) << (digit // n)
-            right_mask |= np.int64(1) << (digit % n)
-            if track_outcomes:
-                digits[:, pos] = digit
-        ok = (left_mask == full_left) & (right_mask == full_right)
-        valid += int(ok.sum())
-        if track_outcomes and ok.any():
-            kept = np.sort(digits[ok], axis=1)
-            uniq, counts = np.unique(kept, axis=0, return_counts=True)
-            for row, c in zip(uniq, counts):
-                key = tuple(int(v) for v in row)
-                freq[key] = freq.get(key, 0) + int(c)
+        stop = min(start + chunk, total)
+        # all sequences of the suffixes the range touches, then cut to it
+        first = start // width
+        masks = (high_masks[first : (stop - 1) // width + 1, None] | low_masks).ravel()
+        ok = masks[start - first * width : stop - first * width] == full
+        hits = np.count_nonzero(ok)
+        valid += hits
+        if track_outcomes and hits:
+            rest = start + np.flatnonzero(ok)
+            digits = np.empty((hits, t), dtype=np.int64)
+            for pos in range(t):
+                rest, digits[:, pos] = np.divmod(rest, mn)
+            for key, count in _multiset_counts_from_codes(digits).items():
+                freq[key] = freq.get(key, 0) + count
     return ExhaustiveCensus(m, n, t, total, valid, freq)
 
 
 def enumerate_bipartite_trees(i: int, j: int) -> int:
     """Exact count of labeled spanning trees of the complete bipartite graph
-    on (i, j) vertices, by enumerating all (i+j-1)-edge subsets and testing
+    on (i, j) vertices, by testing every (i+j-1)-edge subset for
     connectivity. Capped at i*j <= 20.
 
-    Each batch of _TREE_CHUNK subsets becomes one graph of disjoint (i, j)
-    blocks; a block with i+j-1 edges is connected exactly when it is an
-    (i, j)-tree, so the batch's count is one entry of its tree census.
+    Edge a*j + b is bit a*j + b of an ij-bit mask, and the subsets are the
+    masks with i+j-1 bits set. A spanning tree covers every vertex, so the
+    subsets that miss a row or a column of the mask are dropped. The rest
+    are judged in batches of _TREE_CHUNK: each batch becomes one graph of
+    disjoint (i, j) blocks, a block with i+j-1 edges is connected exactly
+    when it is an (i, j)-tree, and the batch's count is one entry of its
+    tree census.
     """
     if i < 1 or j < 1:
         raise SizeError("need i, j >= 1")
     if i * j > 20:
         raise SizeError(f"enumeration capped at i*j <= 20, got {i * j}")
     need = i + j - 1
-    subsets = combinations(range(i * j), need)
+    # popcount of every ij-bit mask, built one bit at a time
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(i * j):
+        popcount = np.concatenate([popcount, popcount + 1])
+    # ij <= 20 bits fit int32, which halves the filters' memory
+    subsets = np.flatnonzero(popcount == need).astype(np.int32)
+    bit = np.arange(i * j)
+    edge_bits = (1 << bit).reshape(i, j)
+    for vertex in edge_bits.sum(axis=1).tolist() + edge_bits.sum(axis=0).tolist():
+        subsets = subsets[(subsets & vertex) != 0]
     count = 0
-    while True:
-        codes = np.fromiter(
-            chain.from_iterable(islice(subsets, _TREE_CHUNK)), dtype=np.int64
-        ).reshape(-1, need)
-        blocks = codes.shape[0]
-        if blocks == 0:
-            return count
+    for start in range(0, subsets.shape[0], _TREE_CHUNK):
+        batch = subsets[start : start + _TREE_CHUNK]
+        blocks = batch.shape[0]
+        # each subset's edge codes: its set bits, in ascending order
+        codes = np.nonzero((batch[:, None] >> bit) & 1)[1].reshape(blocks, need)
         block = np.arange(blocks)[:, None]
         edges = np.stack([block * i + codes // j, block * j + codes % j], axis=-1)
         g = BipartiteMultigraph(blocks * i, blocks * j, edges.reshape(-1, 2))
         count += int(tree_census(components(g), i, j)[i, j])
+    return count
 
 
 @dataclass(frozen=True)

@@ -152,3 +152,11 @@ def test_verify_oracle_counts_every_instance_within_the_cap():
 def test_fixture_loading_used_by_cli_matches_api():
     for name in fixture_names():
         assert load_fixture(name).graph.t > 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "nan", "inf"])
+def test_verify_rejects_caps_that_admit_nothing(capsys, cap):
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", f"--cap={cap}")
+    assert code == 1
+    assert "--cap" in err
+    assert "PASS" not in out

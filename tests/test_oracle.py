@@ -1,9 +1,15 @@
 import math
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+from test_graph import _reference_components
 
 from oxgrid.errors import SizeError
+from oxgrid.generators import _multiset_counts_from_codes
+from oxgrid.graph import BipartiteMultigraph
 from oxgrid.oracle import (
+    ExhaustiveCensus,
     enumerate_bipartite_trees,
     exhaustive_census,
     tp_equivalence_test,
@@ -59,6 +65,59 @@ def test_census_chunking_is_associative():
     a = exhaustive_census(2, 3, 4, chunk=7)
     b = exhaustive_census(2, 3, 4)
     assert a == b
+
+
+@pytest.mark.parametrize("m,n,t", [(1, 1, 5), (1, 3, 2), (2, 2, 3), (2, 3, 4), (3, 2, 4)])
+def test_census_matches_product_brute_force(m, n, t):
+    valid = 0
+    freq: dict[tuple[int, ...], int] = {}
+    for seq in product(range(m * n), repeat=t):
+        if {c // n for c in seq} == set(range(m)) and {c % n for c in seq} == set(range(n)):
+            valid += 1
+            key = tuple(sorted(seq))
+            freq[key] = freq.get(key, 0) + 1
+    reference = ExhaustiveCensus(m, n, t, (m * n) ** t, valid, freq)
+    # 11 divides neither the index space nor a table width
+    assert exhaustive_census(m, n, t, chunk=11) == reference
+    assert exhaustive_census(m, n, t) == reference
+
+
+@pytest.mark.parametrize("i,j", [(1, 4), (2, 3), (3, 3), (4, 2)])
+def test_enumerate_trees_matches_bfs_brute_force(i, j):
+    # (3, 3) has 5-edge subsets that cover every vertex without being a
+    # tree (a 4-cycle plus an edge), so coverage alone overcounts there
+    tree = [(i, j, i + j - 1)]
+    expected = sum(
+        _reference_components(
+            BipartiteMultigraph(i, j, [(c // j, c % j) for c in subset])
+        )
+        == tree
+        for subset in combinations(range(i * j), i + j - 1)
+    )
+    assert enumerate_bipartite_trees(i, j) == expected
+
+
+def _unique_tally(rows):
+    uniq, counts = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
+    return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        make_stream(7).integers(0, 6, size=(5000, 4)),
+        make_stream(8).integers(0, 50, size=(300, 6)),
+        np.array([[5, 1, 3]]),
+        np.full((40, 3), 2),
+        make_stream(9).integers(0, 4, size=(100, 1)),
+    ],
+    ids=["random", "sparse", "single-row", "all-equal", "t=1"],
+)
+def test_multiset_tally_matches_unique(rows):
+    # equal items in equal (lexicographic) order
+    assert list(_multiset_counts_from_codes(rows).items()) == list(
+        _unique_tally(rows).items()
+    )
 
 
 def test_enumerate_trees_matches_formula():
