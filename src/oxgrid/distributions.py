@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "pmf_table",
     "size_biased_pmf",
     "sample_truncated",
+    "sample_truncated_streams",
     "sample_poisson",
     "tail_bounds",
 ]
@@ -61,10 +63,6 @@ class TruncatedPoissonParams:
         if not math.isfinite(rate):
             raise InputError(f"rate must be finite, got {rate}")
         return cls(rate=rate, mean=implied_mean(rate), variance=implied_variance(rate))
-
-    @classmethod
-    def from_mean(cls, mean: float) -> "TruncatedPoissonParams":
-        return solve_rate(mean)
 
 
 def _mean_derivative(rate: float) -> float:
@@ -178,6 +176,11 @@ def pmf_table(params: TruncatedPoissonParams, kmax: int | None = None) -> np.nda
     return np.asarray(probs)
 
 
+# sample_truncated inverts a cached CDF table up to this rate, where the
+# support is short, and redraws the zeros of Poisson(rate) above it
+_INVERSE_CDF_MAX_RATE = 30.0
+
+
 @lru_cache(maxsize=128)
 def _sampler_cdf(rate: float) -> tuple[np.ndarray, bool]:
     params = TruncatedPoissonParams.from_rate(rate)
@@ -186,6 +189,18 @@ def _sampler_cdf(rate: float) -> tuple[np.ndarray, bool]:
     # land past the last entry and the overflow clamp can be skipped
     complete = bool(cdf[-1] >= 1.0 - 2.0**-53)
     return cdf, complete
+
+
+def _inverse_cdf(rate: float, u: np.ndarray) -> np.ndarray:
+    """Truncated-Poisson values of uniforms ``u`` in [0, 1), any shape,
+    for rate <= _INVERSE_CDF_MAX_RATE."""
+    cdf, complete = _sampler_cdf(rate)
+    # side="right" maps u < cdf[0] to 0, i.e. k = 1
+    out = np.searchsorted(cdf, u, side="right")
+    if not complete:
+        np.minimum(out, len(cdf) - 1, out=out)
+    out += 1
+    return out
 
 
 def sample_truncated(
@@ -199,14 +214,8 @@ def sample_truncated(
     """
     scalar = size is None
     count = 1 if scalar else int(size)
-    if params.rate <= 30.0:
-        cdf, complete = _sampler_cdf(params.rate)
-        u = rng.random(count)
-        # side="right" maps u < cdf[0] to 0, i.e. k = 1
-        out = np.searchsorted(cdf, u, side="right")
-        if not complete:
-            np.clip(out, 0, len(cdf) - 1, out=out)
-        out += 1
+    if params.rate <= _INVERSE_CDF_MAX_RATE:
+        out = _inverse_cdf(params.rate, rng.random(count))
     else:
         out = rng.poisson(params.rate, count)
         zero = out == 0
@@ -216,6 +225,23 @@ def sample_truncated(
     if scalar:
         return int(out[0])
     return out if out.dtype == np.int64 else out.astype(np.int64)
+
+
+def sample_truncated_streams(
+    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], size: int
+) -> np.ndarray:
+    """``size`` samples from each stream, shape (len(rngs), size); row r is
+    exactly ``sample_truncated(params, rngs[r], size)``.
+
+    At rate <= 30 every stream draws its uniforms into one array, which one
+    inverse-CDF lookup maps; above, each stream samples on its own.
+    """
+    if params.rate > _INVERSE_CDF_MAX_RATE:
+        return np.stack([sample_truncated(params, rng, size) for rng in rngs])
+    u = np.empty((len(rngs), size))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return _inverse_cdf(params.rate, u).astype(np.int64, copy=False)
 
 
 def sample_poisson(rate: float, rng: np.random.Generator, size: int | None = None):

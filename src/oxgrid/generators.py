@@ -12,7 +12,11 @@
             first half with probability proportional to the chance that
             the rest sums to what is left, then conditions the rest in the
             same way; vectors of at most ``_LEAF`` coordinates are drawn
-            whole until their sum hits.
+            whole until their sum hits. ``sample_tp_edges`` samples one
+            graph per stream for many streams at once: each stream makes
+            exactly the draws ``sample_tp`` makes on it, and short sides run
+            the streams in lock-step so that numpy's fixed cost per call is
+            paid once per batch rather than once per stream.
 * ``er``  — independent edges with probability p on an M x N grid.
 
 All generators are pure functions of their arguments and an explicit rng
@@ -24,10 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .distributions import TruncatedPoissonParams, pmf, sample_truncated, solve_rate
+from .distributions import (
+    TruncatedPoissonParams,
+    pmf,
+    sample_truncated,
+    sample_truncated_streams,
+    solve_rate,
+)
 from .errors import AttemptsExhausted, InputError
 from .graph import BipartiteMultigraph
 from .rng import make_stream
@@ -37,6 +48,7 @@ __all__ = [
     "sample_gr",
     "sample_gr1",
     "sample_tp",
+    "sample_tp_edges",
     "sample_er",
     "er_params_for",
     "tp_multiset_counts",
@@ -176,6 +188,8 @@ class _Budget:
     the limit is checked before each batch."""
 
     def __init__(self, count: int, total: int, limit: int):
+        if limit < 1:
+            raise InputError(f"max_attempts must be >= 1, got {limit}")
         self.count, self.total, self.limit = count, total, limit
         self.drawn = 0
         self.accepted = 0
@@ -219,17 +233,32 @@ def _accepted_prefixes(
     return out
 
 
+def _draws(
+    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], size: int
+) -> np.ndarray:
+    """``size`` truncated-Poisson values from each stream, shape (len(rngs), size)."""
+    if len(rngs) == 1:
+        # one stream draws through this module's sample_truncated, where
+        # tests and profilers can watch it
+        return sample_truncated(params, rngs[0], size)[None]
+    return sample_truncated_streams(params, rngs, size)
+
+
 def _leaf_vectors(
     params: TruncatedPoissonParams,
     count: int,
     target: int,
     vectors: int,
-    rng: np.random.Generator,
-    budget: _Budget,
+    rngs: Sequence[np.random.Generator],
+    budgets: Sequence[_Budget],
 ) -> np.ndarray:
-    """``vectors`` vectors of ``count`` iid draws, each summing to ``target``,
-    by whole-vector rejection: batches of candidates whose hits fill the
-    rows in order."""
+    """``vectors`` vectors of ``count`` iid draws from each stream, each
+    summing to ``target``, shape (len(rngs), vectors, count), by whole-vector
+    rejection: each stream draws batches of candidates whose hits fill its
+    rows in draw order, until it has ``vectors`` of them.
+
+    The streams run in lock-step, but each draws exactly what it would draw
+    alone and spends its own budget."""
     # local CLT at the mean: P(sum hits target) ~ 1/sqrt(2 pi var count)
     p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
     if vectors == 1:
@@ -239,31 +268,41 @@ def _leaf_vectors(
     else:
         # 1.2 times the expected need mostly finishes in one batch
         batch = max(64, min(int(1.2 * vectors / p_hit) + 1, 4_000_000 // count))
-    collected: list[np.ndarray] = []
-    have = 0
-    while have < vectors:
-        budget.spend(batch, batch * min(1.0, p_hit))
-        draws = sample_truncated(params, rng, batch * count).reshape(batch, count)
-        hits = draws[draws.sum(axis=1) == target]
-        budget.accepted += hits.shape[0]
-        if hits.shape[0]:
-            collected.append(hits)
-            have += hits.shape[0]
-    return np.concatenate(collected)[:vectors]
+    expected = batch * min(1.0, p_hit)
+    out = np.empty((len(rngs), vectors, count), dtype=np.int64)
+    have = [0] * len(rngs)
+    streams = list(range(len(rngs)))  # the streams still short of vectors
+    while streams:
+        for s in streams:
+            budgets[s].spend(batch, expected)
+        draws = _draws(params, [rngs[s] for s in streams], batch * count)
+        draws = draws.reshape(len(streams), batch, count)
+        hits = draws.sum(axis=2) == target
+        if not np.count_nonzero(hits):
+            continue
+        for r in hits.any(axis=1).nonzero()[0].tolist():
+            s = streams[r]
+            found = draws[r][hits[r]]
+            budgets[s].accepted += found.shape[0]
+            found = found[: vectors - have[s]]
+            out[s, have[s] : have[s] + found.shape[0]] = found
+            have[s] += found.shape[0]
+        streams = [s for s in streams if have[s] < vectors]
+    return out
 
 
-def _condition(
-    vectors: int, count: int, total: int, rng: np.random.Generator, budget: _Budget
-) -> np.ndarray:
-    """The body of :func:`_conditioned_degrees`; fresh starts share its budget."""
-    if total == count:
-        return np.ones((vectors, count), dtype=np.int64)  # forced: every degree is 1
-    if count == 1:
-        return np.full((vectors, 1), total, dtype=np.int64)  # forced single vertex
-    params = solve_rate(total / count)
-    if count <= _LEAF:
-        return _leaf_vectors(params, count, total, vectors, rng, budget)
-    out = np.empty((vectors, count), dtype=np.int64)
+def _split(
+    params: TruncatedPoissonParams,
+    count: int,
+    total: int,
+    rng: np.random.Generator,
+    budget: _Budget,
+    out: np.ndarray,
+) -> None:
+    """Fill the rows of ``out`` with vectors of ``count`` > ``_LEAF``
+    coordinates summing to ``total``, one stream; the recursive step of
+    :func:`_conditioned_degrees`."""
+    vectors = out.shape[0]
     targets = np.full(vectors, total, dtype=np.int64)
     rows = np.arange(vectors)  # the rows still conditioned at this rate
     z = np.zeros(vectors)  # their targets' distance from the mean, in sd
@@ -281,8 +320,31 @@ def _condition(
         fresh = np.abs(z) > _STRAY if rest > _LEAF else np.ones(rows.size, dtype=bool)
         for target in np.unique(targets[rows[fresh]]):
             group = rows[fresh & (targets[rows] == target)]
-            out[group, done:] = _condition(group.size, rest, int(target), rng, budget)
+            out[group, done:] = _condition(group.size, rest, int(target), [rng], [budget])[0]
         rows, z = rows[~fresh], z[~fresh]
+
+
+def _condition(
+    vectors: int,
+    count: int,
+    total: int,
+    rngs: Sequence[np.random.Generator],
+    budgets: Sequence[_Budget],
+) -> np.ndarray:
+    """The body of :func:`_conditioned_degrees` for several streams at once,
+    each with its own budget; shape (len(rngs), vectors, count). Short
+    vectors run the streams in lock-step, long ones split stream by
+    stream."""
+    if total == count:
+        return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
+    if count == 1:
+        return np.full((len(rngs), vectors, 1), total, dtype=np.int64)  # forced single vertex
+    params = solve_rate(total / count)
+    if count <= _LEAF:
+        return _leaf_vectors(params, count, total, vectors, rngs, budgets)
+    out = np.empty((len(rngs), vectors, count), dtype=np.int64)
+    for rows, rng, budget in zip(out, rngs, budgets):
+        _split(params, count, total, rng, budget, rows)
     return out
 
 
@@ -312,7 +374,49 @@ def _conditioned_degrees(
     ``max_attempts`` bounds the candidate vectors (prefixes and whole
     leaves) over the whole call.
     """
-    return _condition(vectors, count, total, rng, _Budget(count, total, max_attempts))
+    return _condition(vectors, count, total, [rng], [_Budget(count, total, max_attempts)])[0]
+
+
+def _stubs(degrees: np.ndarray) -> np.ndarray:
+    """Stub owners of each row of a (rows, count) degree array whose rows
+    share one sum t: vertex v repeated degree-of-v times, shape (rows, t)."""
+    rows, count = degrees.shape
+    owners = np.arange(rows * count, dtype=np.int64) % count
+    return np.repeat(owners, degrees.ravel()).reshape(rows, -1)
+
+
+def sample_tp_edges(
+    m: int,
+    n: int,
+    t: int,
+    rngs: Sequence[np.random.Generator],
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> np.ndarray:
+    """The edges of one :func:`sample_tp` graph per stream, shape
+    (len(rngs), t, 2): row r is exactly ``sample_tp(m, n, t, rngs[r]).edges``.
+
+    Every stream makes the calls that :func:`sample_tp` makes on it: left
+    degrees, right degrees, then one ``permutation(t)``. Short sides run the
+    streams in lock-step, so a batch of candidates costs one inverse-CDF
+    lookup for all of them; sides longer than ``_LEAF`` are conditioned
+    stream by stream. Each stream has its own budget of ``max_attempts``
+    candidate vectors per side.
+    """
+    if m < 1 or n < 1:
+        raise InputError("m and n must be >= 1")
+    if t < max(m, n):
+        raise InputError(
+            f"t={t} < max(m, n)={max(m, n)}: some vertex must stay isolated"
+        )
+    degrees = [
+        _condition(1, count, t, rngs, [_Budget(count, t, max_attempts) for _ in rngs])[:, 0]
+        for count in (m, n)  # every stream draws its left side before its right
+    ]
+    edges = np.empty((len(rngs), t, 2), dtype=np.int64)
+    edges[:, :, 0] = _stubs(degrees[0])
+    for pairs, right, rng in zip(edges, _stubs(degrees[1]), rngs):
+        pairs[:, 1] = right[rng.permutation(t)]
+    return edges
 
 
 def sample_tp(
@@ -331,20 +435,10 @@ def sample_tp(
     in half, the first half drawn iid and kept with probability proportional
     to the chance that the second sums to what is left, recursively; shorter
     ones are redrawn whole until their sum is t. ``max_attempts`` bounds the
-    candidate vectors drawn per side.
+    candidate vectors drawn per side. The one-stream case of
+    :func:`sample_tp_edges`.
     """
-    if m < 1 or n < 1:
-        raise InputError("m and n must be >= 1")
-    if t < max(m, n):
-        raise InputError(
-            f"t={t} < max(m, n)={max(m, n)}: some vertex must stay isolated"
-        )
-    left_deg = _conditioned_degrees(1, m, t, rng, max_attempts)[0]
-    right_deg = _conditioned_degrees(1, n, t, rng, max_attempts)[0]
-    left_stubs = np.repeat(np.arange(m, dtype=np.int64), left_deg)
-    right_stubs = np.repeat(np.arange(n, dtype=np.int64), right_deg)
-    paired = right_stubs[rng.permutation(t)]
-    return BipartiteMultigraph(m, n, np.column_stack((left_stubs, paired)))
+    return BipartiteMultigraph(m, n, sample_tp_edges(m, n, t, [rng], max_attempts)[0])
 
 
 def sample_er(
@@ -426,14 +520,8 @@ def tp_multiset_counts(
         max_attempts = DEFAULT_MAX_ATTEMPTS * samples
     left = _conditioned_degrees(samples, m, t, rng, max_attempts)
     right = _conditioned_degrees(samples, n, t, rng, max_attempts)
-    # each row sums to t, so the flattened repeat reshapes cleanly
-    left_stubs = np.repeat(np.tile(np.arange(m, dtype=np.int64), samples), left.ravel())
-    left_stubs = left_stubs.reshape(samples, t)
-    right_stubs = np.repeat(
-        np.tile(np.arange(n, dtype=np.int64), samples), right.ravel()
-    ).reshape(samples, t)
-    paired = rng.permuted(right_stubs, axis=1)
-    return _multiset_counts_from_codes(left_stubs * n + paired)
+    paired = rng.permuted(_stubs(right), axis=1)
+    return _multiset_counts_from_codes(_stubs(left) * n + paired)
 
 
 def gr_multiset_counts(

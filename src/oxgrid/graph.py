@@ -9,6 +9,7 @@ numpy arrays, so sweeps can run millions of analyses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "ComponentSummary",
     "components",
     "tree_census",
+    "block_tree_census",
     "is_connected",
     "min_degree",
     "max_degree",
@@ -159,20 +161,54 @@ def _component_labels(m: int, n: int, edges: np.ndarray) -> np.ndarray:
             label = jumped
 
 
+def _component_counts(
+    m: int, n: int, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(roots, left, right, edges)``: each component's smallest vertex and
+    its left-vertex, right-vertex and edge-slot counts, in root order."""
+    label = _component_labels(m, n, edges)
+    total = m + n
+    roots = np.flatnonzero(label == np.arange(total))
+    return (
+        roots,
+        np.bincount(label[:m], minlength=total)[roots],
+        np.bincount(label[m:], minlength=total)[roots],
+        np.bincount(label[edges[:, 0]], minlength=total)[roots],
+    )
+
+
 def components(g: BipartiteMultigraph) -> ComponentSummary:
     """Exact connected components; isolated vertices become their own
     zero-edge components."""
-    label = _component_labels(g.m, g.n, g.edges)
-    total = g.m + g.n
-    roots = np.flatnonzero(label == np.arange(total))
-    fields = (
-        np.bincount(label[: g.m], minlength=total)[roots],
-        np.bincount(label[g.m :], minlength=total)[roots],
-        np.bincount(label[g.edges[:, 0]], minlength=total)[roots],
-    )
+    fields = _component_counts(g.m, g.n, g.edges)[1:]
     for a in fields:
         a.setflags(write=False)
     return ComponentSummary(g.m, g.n, g.t, *fields)
+
+
+def _count_trees(
+    shape: tuple[int, ...],
+    leading: tuple,
+    left: np.ndarray,
+    right: np.ndarray,
+    edges: np.ndarray,
+) -> np.ndarray:
+    """Census of the tree components that fit ``shape``, whose last two axes
+    are (left, right) vertex counts: each counts at ``(*leading, left,
+    right)``, where ``leading`` holds one array of coordinates per leading
+    axis."""
+    max_i, max_j = shape[-2] - 1, shape[-1] - 1
+    # a connected multigraph with exactly left + right - 1 edge slots has no
+    # repeated edge, as ComponentSummary.is_tree notes
+    keep = (
+        (edges == left + right - 1)
+        & (left >= 1)
+        & (left <= max_i)
+        & (right >= 1)
+        & (right <= max_j)
+    )
+    cells = np.ravel_multi_index((*(a[keep] for a in leading), left[keep], right[keep]), shape)
+    return np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
 
 
 def tree_census(summary: ComponentSummary, max_i: int, max_j: int) -> np.ndarray:
@@ -180,17 +216,31 @@ def tree_census(summary: ComponentSummary, max_i: int, max_j: int) -> np.ndarray
     1 <= j <= max_j. Row 0 and column 0 are unused and stay zero."""
     if max_i < 1 or max_j < 1:
         raise InputError("census bounds must be >= 1")
-    census = np.zeros((max_i + 1, max_j + 1), dtype=np.int64)
-    left, right = summary.left, summary.right
-    keep = (
-        summary.is_tree
-        & (left >= 1)
-        & (left <= max_i)
-        & (right >= 1)
-        & (right <= max_j)
-    )
-    np.add.at(census, (left[keep], right[keep]), 1)
-    return census
+    return _count_trees((max_i + 1, max_j + 1), (), summary.left, summary.right, summary.edges)
+
+
+def block_tree_census(
+    m: int, n: int, edges: np.ndarray, max_i: int, max_j: int
+) -> np.ndarray:
+    """Tree census of many graphs on the same m + n vertices, shape
+    (blocks, max_i + 1, max_j + 1); block b's matrix is
+    ``tree_census(components(BipartiteMultigraph(m, n, edges[b])), max_i, max_j)``.
+
+    ``edges`` has shape (blocks, e, 2). The graphs are laid out as one
+    disjoint union, block b's left vertex a at b*m + a and its right vertex
+    c at b*n + c, so one labelling covers them all; a component belongs to
+    the block of its smallest vertex.
+    """
+    if max_i < 1 or max_j < 1:
+        raise InputError("census bounds must be >= 1")
+    blocks, e = edges.shape[:2]
+    shift = np.arange(blocks)[:, None] * np.tile([m, n], e)  # (blocks, 2e)
+    union = (edges.reshape(blocks, -1) + shift).reshape(-1, 2)
+    roots, left, right, edge_count = _component_counts(blocks * m, blocks * n, union)
+    # a tree has a left vertex, so its smallest vertex is a left one; the
+    # out-of-range blocks of right roots (isolated right vertices) go unused
+    block = roots // max(m, 1)
+    return _count_trees((blocks, max_i + 1, max_j + 1), (block,), left, right, edge_count)
 
 
 def is_connected(g: BipartiteMultigraph) -> bool:

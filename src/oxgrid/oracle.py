@@ -9,7 +9,7 @@ Every oracle here judges each object it enumerates on its own:
   a small table, so a sequence costs one OR and one compare.
 - ``enumerate_bipartite_trees`` lists the (i+j-1)-edge subsets of the
   complete bipartite graph as bit masks, drops those that leave a vertex
-  uncovered, and judges the rest with the package's component labelling.
+  uncovered, and judges the rest with the package's block tree census.
 - ``tp_equivalence_test`` compares configuration-model samples with the
   exact uniform law of the census, tallied by the same multiset routine.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SizeError
 from .generators import _multiset_counts_from_codes, tp_multiset_counts
-from .graph import BipartiteMultigraph, components, tree_census
+from .graph import block_tree_census
 from .rng import make_stream
 
 __all__ = [
@@ -138,10 +138,8 @@ def enumerate_bipartite_trees(i: int, j: int) -> int:
     Edge a*j + b is bit a*j + b of an ij-bit mask, and the subsets are the
     masks with i+j-1 bits set. A spanning tree covers every vertex, so the
     subsets that miss a row or a column of the mask are dropped. The rest
-    are judged in batches of _TREE_CHUNK: each batch becomes one graph of
-    disjoint (i, j) blocks, a block with i+j-1 edges is connected exactly
-    when it is an (i, j)-tree, and the batch's count is one entry of its
-    tree census.
+    are judged in batches of _TREE_CHUNK by one block tree census: a block
+    with i+j-1 edges is connected exactly when it is an (i, j)-tree.
     """
     if i < 1 or j < 1:
         raise SizeError("need i, j >= 1")
@@ -161,13 +159,10 @@ def enumerate_bipartite_trees(i: int, j: int) -> int:
     count = 0
     for start in range(0, subsets.shape[0], _TREE_CHUNK):
         batch = subsets[start : start + _TREE_CHUNK]
-        blocks = batch.shape[0]
         # each subset's edge codes: its set bits, in ascending order
-        codes = np.nonzero((batch[:, None] >> bit) & 1)[1].reshape(blocks, need)
-        block = np.arange(blocks)[:, None]
-        edges = np.stack([block * i + codes // j, block * j + codes % j], axis=-1)
-        g = BipartiteMultigraph(blocks * i, blocks * j, edges.reshape(-1, 2))
-        count += int(tree_census(components(g), i, j)[i, j])
+        codes = np.nonzero((batch[:, None] >> bit) & 1)[1].reshape(-1, need)
+        edges = np.stack([codes // j, codes % j], axis=-1)
+        count += int(block_tree_census(i, j, edges, i, j)[:, i, j].sum())
     return count
 
 

@@ -116,6 +116,26 @@ def test_trees_report_flags_dog(capsys):
     assert datasets == set(fixture_names())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--reps", "-5"), ("--threads", "0"), ("--threads", "-2"), ("--reps", "3", "--threads", "0")],
+)
+def test_trees_rejects_bad_reps_and_threads(capsys, argv):
+    code, out, err = run_cli(capsys, "trees", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_sweep_rejects_zero_threads(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "giant", "grid": [[300, 300, 580]], "reps": 2}))
+    code, out, err = run_cli(capsys, "sweep", "giant", "--config", str(config), "--threads", "0")
+    assert code == 1
+    assert out == ""
+    assert "threads must be >= 1" in err
+
+
 def test_sweep_cli_round_trip(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"kind": "count-ratio", "grid": [[50, 50, 100]],

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -297,6 +298,78 @@ def test_conditioning_budget_failure_is_informative():
         sample_tp(2000, 2000, 2600, make_stream(0), max_attempts=1)
     message = str(err.value)
     for field in ("count=2000", "total=2600", "attempts=", "observed acceptance", "predicted"):
+        assert field in message
+
+
+# ----------------------------------------------------------------------
+# lock-step streams
+# ----------------------------------------------------------------------
+
+# the five genome fixtures' sizes, then a rate above the inverse-CDF range,
+# two forced sides and a side longer than _LEAF
+TP_STREAM_SIZES = [
+    (22, 27, 44),
+    (22, 21, 28),
+    (22, 19, 32),
+    (22, 38, 67),
+    (20, 22, 38),
+    (3, 2, 200),
+    (1, 5, 5),
+    (2, 40, 40),
+    (65, 30, 100),
+]
+
+
+@pytest.mark.parametrize("m,n,t", TP_STREAM_SIZES)
+def test_tp_edges_per_stream_match_sample_tp(m, n, t):
+    streams = 40
+    edges = generators.sample_tp_edges(m, n, t, [split_stream(95, i) for i in range(streams)])
+    assert edges.shape == (streams, t, 2)
+    for i in range(streams):
+        assert np.array_equal(edges[i], sample_tp(m, n, t, split_stream(95, i)).edges)
+
+
+@pytest.mark.parametrize("m,n,t", [(22, 38, 67), (20, 22, 38)])
+def test_tp_edges_keep_each_streams_first_hit(m, n, t):
+    # below rate 30 a stream's candidate left-degree vectors are consecutive
+    # rows of one long run of its draws, so the left degrees must be the
+    # first row of that run whose sum is t
+    streams = 40
+    edges = generators.sample_tp_edges(m, n, t, [split_stream(98, i) for i in range(streams)])
+    params = solve_rate(t / m)
+    for i in range(streams):
+        rows = generators.sample_truncated(params, split_stream(98, i), 20_000 * m).reshape(-1, m)
+        first = rows[rows.sum(axis=1) == t][0]
+        assert np.array_equal(np.bincount(edges[i, :, 0], minlength=m), first)
+
+
+def test_sample_tp_draws_are_pinned():
+    # replicate i of a seed must keep giving the same graph: the sha256 of
+    # these edges has not changed since the conditioning became exact
+    digest = hashlib.sha256()
+    for m, n, t in TP_STREAM_SIZES:
+        for i in range(8):
+            digest.update(sample_tp(m, n, t, split_stream(2024, i)).edges.tobytes())
+    assert digest.hexdigest() == (
+        "5855ed006c0c6d61ebc525885d847739ca4ab850dd57cc2fd95b2facbd981bf7"
+    )
+
+
+def test_tp_rejects_an_empty_budget():
+    # a budget of 0 used to fail with ZeroDivisionError in the message
+    for max_attempts in (0, -1):
+        with pytest.raises(InputError):
+            sample_tp(30, 30, 60, make_stream(0), max_attempts=max_attempts)
+        with pytest.raises(InputError):
+            generators.sample_tp_edges(3, 3, 3, [make_stream(0)], max_attempts=max_attempts)
+
+
+def test_tp_edges_budget_failure_is_informative():
+    rngs = [split_stream(97, i) for i in range(16)]
+    with pytest.raises(AttemptsExhausted) as err:
+        generators.sample_tp_edges(30, 30, 60, rngs, max_attempts=1)
+    message = str(err.value)
+    for field in ("budget of 1 ", "count=30", "total=60", "observed acceptance", "predicted"):
         assert field in message
 
 

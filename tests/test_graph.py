@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import connected_components
 from oxgrid.errors import InputError
 from oxgrid.graph import (
     BipartiteMultigraph,
+    block_tree_census,
     components,
     degrees,
     is_connected,
@@ -14,7 +15,7 @@ from oxgrid.graph import (
     tree_census,
 )
 from oxgrid.generators import sample_gr
-from oxgrid.rng import make_stream
+from oxgrid.rng import make_stream, split_stream
 
 
 def test_path_component_is_tree():
@@ -157,6 +158,24 @@ def test_tree_census_bounds():
     assert tree_census(s, 2, 2).sum() == 0  # (3,1) tree lies outside bounds
     with pytest.raises(InputError):
         tree_census(s, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "m, n, t, max_i, max_j",
+    [(5, 7, 6, 3, 4), (7, 5, 6, 4, 3), (1, 1, 2, 1, 1), (3, 4, 0, 2, 2), (22, 38, 67, 2, 2),
+     (40, 40, 45, 6, 5)],
+)
+def test_block_tree_census_matches_per_graph_census(m, n, t, max_i, max_j):
+    # sparse gr graphs: isolated vertices on both sides, parallel edges,
+    # trees of many shapes, some larger than the census bounds
+    graphs = [sample_gr(m, n, t, split_stream(410, i)) for i in range(37)]
+    edges = np.stack([g.edges for g in graphs])
+    census = block_tree_census(m, n, edges, max_i, max_j)
+    assert census.shape == (len(graphs), max_i + 1, max_j + 1)
+    for b, g in enumerate(graphs):
+        assert np.array_equal(census[b], tree_census(components(g), max_i, max_j))
+    with pytest.raises(InputError):
+        block_tree_census(m, n, edges, 0, 1)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oxgrid.errors import InputError
+from oxgrid.generators import sample_tp
+from oxgrid.graph import components, tree_census
 from oxgrid.harness import (
     ExperimentConfig,
     aggregate_connectivity_rows,
@@ -15,6 +17,8 @@ from oxgrid.harness import (
     sweep_count_ratio,
     sweep_giant,
 )
+from oxgrid.ingest import fixture_names, load_fixture
+from oxgrid.rng import split_stream
 from oxgrid.theory import expected_trees_exact, extinction_probabilities
 
 
@@ -72,6 +76,46 @@ def test_tree_comparison_simulation_matches_exact_expectation():
         i, j = (int(x) for x in shape.split(","))
         exact = expected_trees_exact(i, j, row["m"], row["n"], row["t"])
         assert abs(row["sim_mean"] - exact) <= 4 * row["sim_se"]
+
+
+def test_tree_comparison_replicates_run_on_their_own_streams():
+    # 150 replicates end in a partial lock-step block; each must count the
+    # trees of sample_tp on split_stream(seed + dataset, i)
+    datasets = [load_fixture(name) for name in ("human_cat", "human_dog")]
+    reps, seed = 150, 21
+    report = run_tree_comparison(datasets, reps=reps, seed=seed)
+    rows = {(r["dataset"], r["shape"]): r for r in report["rows"]}
+    for ds_index, ds in enumerate(datasets):
+        counts = np.array(
+            [
+                tree_census(components(sample_tp(ds.graph.m, ds.graph.n, ds.graph.t,
+                                                 split_stream(seed + ds_index, i))), 2, 2)
+                for i in range(reps)
+            ]
+        )
+        for i, j in ((1, 1), (2, 1), (1, 2)):
+            row = rows[(ds.name, f"{i},{j}")]
+            assert row["sim_mean"] == counts[:, i, j].mean()
+            assert row["sim_se"] == pytest.approx(counts[:, i, j].std(ddof=1) / math.sqrt(reps))
+
+
+def test_tree_comparison_is_identical_across_thread_counts():
+    reports = [run_tree_comparison(reps=150, seed=8, threads=k) for k in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    assert all(row["sim_mean"] is not None for row in reports[0]["rows"])
+
+
+@pytest.mark.parametrize("reps,threads", [(-5, 1), (10, 0), (0, 0), (10, -2)])
+def test_tree_comparison_rejects_bad_reps_and_threads(reps, threads):
+    with pytest.raises(InputError):
+        run_tree_comparison(reps=reps, threads=threads)
+
+
+def test_sweeps_reject_nonpositive_threads():
+    with pytest.raises(InputError):
+        sweep_giant([(300, 300, 580)], reps=2, threads=0)
+    with pytest.raises(InputError):
+        estimate_distinct_probability(50, 50, 60, reps=10, threads=-1)
 
 
 # ----------------------------------------------------------------------
