@@ -269,9 +269,14 @@ def _verify_equivalence(samples: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
-    # a cap below 1 admits no instance, which would pass vacuously
+    # a cap below 1 admits no instance, which would pass vacuously; a bad
+    # value stops the command before the header and the suites
     if not (math.isfinite(args.cap) and args.cap >= 1):
         raise InputError(f"--cap must be a finite number >= 1, got {args.cap}")
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     cap = int(args.cap)
     print(f"# suite={args.suite} cap={cap} samples={args.samples} seed={args.seed}")
     results: list[tuple[str, bool, str]] = []

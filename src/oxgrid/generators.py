@@ -482,17 +482,33 @@ def er_params_for(m: int, n: int, t: int) -> tuple[int, int, float]:
 
 
 def _multiset_counts_from_codes(code_rows: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Count the rows of edge codes as multisets: each row sorted, then the
-    rows sorted lexicographically and cut into runs of equal rows. Keys come
-    in ascending lexicographic order. Needs at least one row."""
-    ordered = np.sort(code_rows, axis=1)
-    # lexsort's primary key is its last one
-    ordered = ordered[np.lexsort(ordered.T[::-1])]
+    """Count the rows of non-negative edge codes as multisets: each row
+    sorted, then the rows sorted lexicographically and cut into runs of
+    equal rows. Keys come in ascending lexicographic order. Needs at least
+    one row.
+
+    Each sorted row is packed into the fewest int64 words, floor(63 / bits)
+    codes of ``bits`` bits to a word with the first code highest, so the
+    words order as the rows do; one word is a single sort."""
+    ordered = np.sort(code_rows, axis=1).astype(np.int64, copy=False)
+    t = ordered.shape[1]
+    bits = max(int(ordered[:, -1].max()).bit_length(), 1)
+    per_word = 63 // bits
+    shifts = bits * (per_word - 1 - np.arange(t) % per_word)
+    words = np.zeros((ordered.shape[0], -(-t // per_word)), dtype=np.int64)
+    for pos in range(t):
+        words[:, pos // per_word] |= ordered[:, pos] << shifts[pos]
+    if words.shape[1] == 1:
+        words = np.sort(words, axis=0)
+    else:
+        # lexsort's primary key is its last one
+        words = words[np.lexsort(words.T[::-1])]
     starts = np.flatnonzero(
-        np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+        np.concatenate([[True], (words[1:] != words[:-1]).any(axis=1)])
     )
-    counts = np.diff(np.append(starts, ordered.shape[0]))
-    return dict(zip(map(tuple, ordered[starts].tolist()), counts.tolist()))
+    counts = np.diff(np.append(starts, words.shape[0]))
+    keys = (words[starts][:, np.arange(t) // per_word] >> shifts) & ((1 << bits) - 1)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
 
 
 def tp_multiset_counts(

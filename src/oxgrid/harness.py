@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise InputError(f"unknown sweep kind {self.kind!r}")
         if self.reps < 0:
             raise InputError("reps must be >= 0")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if not self.grid:
             raise InputError("grid must be non-empty")
 
@@ -150,11 +152,13 @@ def run_tree_comparison(
     run in lock-step blocks of ``_TREE_BLOCK`` (:func:`sample_tp_edges` and
     :func:`block_tree_census`), with whole blocks on the thread pool when
     ``threads`` > 1; every stream stays with its replicate, so the report is
-    the same for every thread count. Raises InputError for reps < 0 or
-    threads < 1.
+    the same for every thread count. Raises InputError for reps < 0,
+    seed < 0 or threads < 1.
     """
     if reps < 0:
         raise InputError(f"reps must be >= 0, got {reps}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     if datasets is None:

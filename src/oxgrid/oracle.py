@@ -9,7 +9,9 @@ Every oracle here judges each object it enumerates on its own:
   a small table, so a sequence costs one OR and one compare.
 - ``enumerate_bipartite_trees`` lists the (i+j-1)-edge subsets of the
   complete bipartite graph as bit masks, drops those that leave a vertex
-  uncovered, and judges the rest with the package's block tree census.
+  uncovered, and judges each of the rest on its own mask: a reachability
+  closure from one vertex, run over all subsets at once, tells whether the
+  subset is connected, hence a spanning tree.
 - ``tp_equivalence_test`` compares configuration-model samples with the
   exact uniform law of the census, tallied by the same multiset routine.
 
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import SizeError
 from .generators import _multiset_counts_from_codes, tp_multiset_counts
-from .graph import block_tree_census
 from .rng import make_stream
 
 __all__ = [
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 SEQUENCE_CAP = 10**7
-# subsets per disjoint-union graph in enumerate_bipartite_trees: large enough
-# to amortise numpy's per-call cost, small enough to keep memory flat
-_TREE_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -130,40 +128,72 @@ def exhaustive_census(
     return ExhaustiveCensus(m, n, t, total, valid, freq)
 
 
+def _masks_with_popcount(bits: int, k: int) -> np.ndarray:
+    """Every ``bits``-bit mask with exactly k bits set, as int32 (bits <= 20).
+
+    The mask splits into a low and a high half. Each half's popcounts come
+    from a table of at most 2^10 entries, and the high halves with c bits
+    set pair with every low half with k - c bits set."""
+    low = bits // 2
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(bits - low):
+        popcount = np.concatenate([popcount, popcount + 1])
+    low_count = popcount[: 1 << low]
+    parts = []
+    for c in range(max(k - low, 0), min(k, bits - low) + 1):
+        highs = np.flatnonzero(popcount == c).astype(np.int32) << low
+        lows = np.flatnonzero(low_count == k - c).astype(np.int32)
+        parts.append((highs[:, None] | lows).ravel())
+    return np.concatenate(parts)
+
+
+def _covering_subsets(i: int, j: int) -> np.ndarray:
+    """The (i+j-1)-edge subsets of K_{i,j} that cover every vertex, as
+    ij-bit masks: edge a*j + b, between left a and right b, is bit a*j + b,
+    so row a of a mask lists left a's right neighbours."""
+    subsets = _masks_with_popcount(i * j, i + j - 1)
+    edge_bits = (1 << np.arange(i * j)).reshape(i, j)
+    for vertex in edge_bits.sum(axis=1).tolist() + edge_bits.sum(axis=0).tolist():
+        subsets = subsets[(subsets & vertex) != 0]
+    return subsets
+
+
+def _spanning_tree_verdicts(i: int, j: int, subsets: np.ndarray) -> np.ndarray:
+    """One verdict per covering (i+j-1)-edge subset of K_{i,j}: is it a
+    spanning tree?
+
+    With i+j-1 edges and no vertex uncovered, a subset is a tree exactly when
+    it is connected, and it is connected exactly when the right vertices
+    reached from left vertex 0 are all of them (every left vertex then has a
+    reached neighbour). The reached set of every subset grows at once: a
+    left vertex whose row meets the reached set adds its whole row, and the
+    sweeps over the rows repeat until no reached set changes."""
+    full = (1 << j) - 1
+    rows = [(subsets >> (a * j)) & full for a in range(i)]
+    reached = rows[0]
+    while True:
+        before = reached
+        for row in rows[1:]:
+            reached = np.where((row & reached) != 0, reached | row, reached)
+        if np.array_equal(reached, before):
+            return reached == full
+
+
 def enumerate_bipartite_trees(i: int, j: int) -> int:
     """Exact count of labeled spanning trees of the complete bipartite graph
     on (i, j) vertices, by testing every (i+j-1)-edge subset for
     connectivity. Capped at i*j <= 20.
 
-    Edge a*j + b is bit a*j + b of an ij-bit mask, and the subsets are the
-    masks with i+j-1 bits set. A spanning tree covers every vertex, so the
-    subsets that miss a row or a column of the mask are dropped. The rest
-    are judged in batches of _TREE_CHUNK by one block tree census: a block
-    with i+j-1 edges is connected exactly when it is an (i, j)-tree.
+    The subsets are the ij-bit masks with i+j-1 bits set. A spanning tree
+    covers every vertex, so the subsets that miss a row or a column of the
+    mask are dropped, and each of the rest is judged on its own mask by a
+    reachability closure from left vertex 0.
     """
     if i < 1 or j < 1:
         raise SizeError("need i, j >= 1")
     if i * j > 20:
         raise SizeError(f"enumeration capped at i*j <= 20, got {i * j}")
-    need = i + j - 1
-    # popcount of every ij-bit mask, built one bit at a time
-    popcount = np.zeros(1, dtype=np.uint8)
-    for _ in range(i * j):
-        popcount = np.concatenate([popcount, popcount + 1])
-    # ij <= 20 bits fit int32, which halves the filters' memory
-    subsets = np.flatnonzero(popcount == need).astype(np.int32)
-    bit = np.arange(i * j)
-    edge_bits = (1 << bit).reshape(i, j)
-    for vertex in edge_bits.sum(axis=1).tolist() + edge_bits.sum(axis=0).tolist():
-        subsets = subsets[(subsets & vertex) != 0]
-    count = 0
-    for start in range(0, subsets.shape[0], _TREE_CHUNK):
-        batch = subsets[start : start + _TREE_CHUNK]
-        # each subset's edge codes: its set bits, in ascending order
-        codes = np.nonzero((batch[:, None] >> bit) & 1)[1].reshape(-1, need)
-        edges = np.stack([codes // j, codes % j], axis=-1)
-        count += int(block_tree_census(i, j, edges, i, j)[:, i, j].sum())
-    return count
+    return int(np.count_nonzero(_spanning_tree_verdicts(i, j, _covering_subsets(i, j))))
 
 
 @dataclass(frozen=True)

@@ -180,3 +180,38 @@ def test_verify_rejects_caps_that_admit_nothing(capsys, cap):
     assert code == 1
     assert "--cap" in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--model", "tp", "--m", "3", "--n", "3", "--t", "5", "--seed", "-1"),
+        ("verify", "--seed", "-1"),
+        ("trees", "--seed", "-1"),
+        ("trees", "--seed", "-1", "--reps", "2"),
+    ],
+    ids=["gen", "verify", "trees", "trees-reps"],
+)
+def test_negative_seed_is_a_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
+def test_sweep_negative_seed_is_a_validation_error(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "giant", "grid": [[300, 300, 580]], "reps": 2,
+                                  "seed": -4}))
+    code, out, err = run_cli(capsys, "sweep", "giant", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [("--samples", "0"), ("--suite", "oracle", "--samples", "-3")])
+def test_verify_rejects_samples_below_one_up_front(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err

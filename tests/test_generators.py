@@ -53,6 +53,14 @@ def test_gr_distinct_probability_matches_exact_product(rng):
     assert abs(p_hat - exact) <= 3 * se
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: make_stream(-1), lambda: split_stream(-1, 0), lambda: split_stream(0, -1)]
+)
+def test_streams_reject_negative_seeds_and_indices(make):
+    with pytest.raises(InputError):
+        make()
+
+
 # ----------------------------------------------------------------------
 # rejection to minimum degree 1
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ from test_graph import _reference_components
 
 from oxgrid.errors import SizeError
 from oxgrid.generators import _multiset_counts_from_codes
-from oxgrid.graph import BipartiteMultigraph
+from oxgrid.graph import BipartiteMultigraph, block_tree_census
 from oxgrid.oracle import (
     ExhaustiveCensus,
+    _covering_subsets,
+    _spanning_tree_verdicts,
     enumerate_bipartite_trees,
     exhaustive_census,
     tp_equivalence_test,
@@ -82,7 +84,7 @@ def test_census_matches_product_brute_force(m, n, t):
     assert exhaustive_census(m, n, t) == reference
 
 
-@pytest.mark.parametrize("i,j", [(1, 4), (2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("i,j", [(1, 4), (2, 3), (3, 3), (4, 2), (3, 4), (4, 3), (2, 5)])
 def test_enumerate_trees_matches_bfs_brute_force(i, j):
     # (3, 3) has 5-edge subsets that cover every vertex without being a
     # tree (a 4-cycle plus an edge), so coverage alone overcounts there
@@ -95,6 +97,23 @@ def test_enumerate_trees_matches_bfs_brute_force(i, j):
         for subset in combinations(range(i * j), i + j - 1)
     )
     assert enumerate_bipartite_trees(i, j) == expected
+
+
+@pytest.mark.parametrize(
+    "i,j", [(3, 3), (4, 4), (2, 5), (4, 5), (5, 4), (2, 10), (1, 20), (20, 1)]
+)
+def test_tree_verdicts_match_block_census_subset_by_subset(i, j):
+    subsets = _covering_subsets(i, j)
+    # each subset's edge codes: its set bits, in ascending order
+    codes = np.nonzero((subsets[:, None] >> np.arange(i * j)) & 1)[1].reshape(-1, i + j - 1)
+    edges = np.stack([codes // j, codes % j], axis=-1)
+    census = block_tree_census(i, j, edges, i, j)[:, i, j]
+    verdicts = _spanning_tree_verdicts(i, j, subsets)
+    assert verdicts.shape == subsets.shape
+    assert np.array_equal(verdicts, census == 1)
+    # with a side of at most 2 vertices every covering subset is a tree;
+    # otherwise some hold a cycle and leave a component out
+    assert verdicts.any() and (verdicts.all() == (min(i, j) <= 2))
 
 
 def _unique_tally(rows):
@@ -110,8 +129,13 @@ def _unique_tally(rows):
         np.array([[5, 1, 3]]),
         np.full((40, 3), 2),
         make_stream(9).integers(0, 4, size=(100, 1)),
+        # 12-bit codes pack 5 to a word, so 8 codes need two words
+        make_stream(10).integers(0, 3844, size=(2000, 8)),
+        np.concatenate([make_stream(11).integers(0, 3, size=(500, 8)), np.full((1, 8), 3843)]),
+        np.zeros((7, 2), dtype=np.int32),
     ],
-    ids=["random", "sparse", "single-row", "all-equal", "t=1"],
+    ids=["random", "sparse", "single-row", "all-equal", "t=1", "two-words",
+         "two-words-dense", "zeros-int32"],
 )
 def test_multiset_tally_matches_unique(rows):
     # equal items in equal (lexicographic) order
