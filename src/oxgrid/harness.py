@@ -1,28 +1,40 @@
 """Seeded Monte Carlo experiment runner.
 
 Every experiment takes a master seed; replicate ``i`` always runs on
-``split_stream(seed, i)``, so results are bit-reproducible regardless of
-thread count and any aggregate can be recomputed from the raw per-replicate
-rows. Rows are plain dicts with stable column names, ready for CSV or JSON.
+``split_stream(seed, i)``, so results are bit-reproducible whatever
+``threads`` is and any aggregate can be recomputed from the raw
+per-replicate rows. Rows are plain dicts with stable column names, ready
+for CSV or JSON.
 
-Replicates run in blocks of consecutive indices, one block per task of the
-thread pool. The sweeps use blocks of one. The tree comparison's replicates
-are tiny graphs whose cost is numpy's fixed cost per call, so it runs blocks
-of ``_TREE_BLOCK`` in lock-step: the block's streams draw one batch each,
-one inverse-CDF lookup maps them all, and one labelling of the block's
+Replicates run in blocks of consecutive indices. With ``threads`` > 1 a
+call hands all of its blocks, over every grid point or dataset, to one
+persistent pool of up to ``threads`` worker processes in one map, and
+merges the rows back in index order. The pool is started on the first such
+call and kept for the next. A replicate is dozens of small numpy calls
+that hold the interpreter lock, so threads would not overlap them. A call
+that samples fewer than ``_POOL_MIN_EDGES`` edges in all runs in-process,
+as with ``threads=1``: there the pool's per-task cost outweighs the gain.
+
+The sweeps use blocks of one. The tree comparison's replicates are tiny
+graphs whose cost is numpy's fixed cost per call, so it runs blocks of
+``_TREE_BLOCK`` in lock-step: the block's streams draw one batch each, one
+inverse-CDF lookup maps them all, and one labelling of the block's
 disjoint union counts every replicate's trees. Each replicate still draws
 from its own stream exactly what it would draw alone, so its graph does not
-depend on the block size or the thread count; drawing a block from one
+depend on the block size or the worker count; drawing a block from one
 shared stream would tie every replicate's graph to both.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,6 +65,21 @@ RELATIVE_TOLERANCE = 0.03  # published-vs-recomputed agreement threshold
 # peak RSS of 240 comparisons in a row rose 0.8-1.0 MB above single
 # replicates at 32 and 1.6 MB at 64
 _TREE_BLOCK = 32
+# sampled edges (the sum of t over a call's replicates) below which a call
+# runs in-process whatever ``threads`` asks. On a 2-vCPU VM shared with other
+# tenants, in seven sets of 16-20 alternated pairs of one-point giant sweeps
+# against a warm 2-worker pool, the pool lost most pairs at 240 and 3,480
+# edges in six sets. At 19,000-23,000 edges it won 0-14 of 16. From 27,000
+# up it won 13-16 of 16 in the two sets with the second vCPU mostly free,
+# and about half the pairs, at 69,504 edges too, while other tenants kept it
+# busy. A task costs the pool about 0.5 ms of hand-off
+_POOL_MIN_EDGES = 30_000
+
+_pool = None  # (worker count, ProcessPoolExecutor) once a call has pooled
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -69,12 +96,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("giant", "connectivity", "count-ratio"):
             raise InputError(f"unknown sweep kind {self.kind!r}")
+        for name in ("reps", "seed", "m", "n"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name in ("m", "n"))):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.reps < 0:
             raise InputError("reps must be >= 0")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
-        if not self.grid:
-            raise InputError("grid must be non-empty")
+        if not isinstance(self.grid, (list, tuple)) or not self.grid:
+            raise InputError("grid must be a non-empty list")
+        for point in self.grid:
+            if self.kind == "connectivity":
+                finite = isinstance(point, numbers.Real) and math.isfinite(point)
+                if isinstance(point, bool) or not finite:
+                    raise InputError(f"connectivity grid values must be finite numbers, "
+                                     f"got {point!r}")
+            elif not (
+                isinstance(point, (list, tuple)) and len(point) == 3 and all(map(_is_int, point))
+            ):
+                raise InputError(f"{self.kind} grid points must be [m, n, t] integers, "
+                                 f"got {point!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -92,45 +134,126 @@ def _mean_se(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
+def _proportion(hits: int, reps: int) -> tuple[float, float]:
+    """Share of hits and its binomial standard error, the variance floored
+    at 1/reps so that a share of 0 or 1 keeps a non-zero error."""
+    p_hat = hits / reps
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / reps) / reps)
+
+
+def _pool_workers(threads: int, tasks: int) -> int:
+    """Worker processes for a pooled call: no more than ``threads``, the
+    CPUs this process may run on, or the call's tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus, tasks))
+
+
+def _close_pool() -> None:
+    """Stop the pool's workers and drop the pool. Also run at exit, while
+    the modules the pool's clean-up needs are still loaded."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+atexit.register(_close_pool)
+
+
+def _executor(workers: int):
+    """The persistent process pool, started on first use and replaced only
+    when the worker count changes. Workers fork where the platform can, so
+    they start in tens of milliseconds, against hundreds for a fresh
+    interpreter, with the parent's warm sampler tables. They fork at the
+    pool's first submit, before the pool starts a thread of its own."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _close_pool()
+    if _pool is None:
+        # imported here: a run that never pools does not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context))
+    return _pool[1]
+
+
+def _run_block(
+    job: Callable[[list[np.random.Generator]], list[dict]], seed: int, start: int, stop: int
+) -> list[dict]:
+    """Rows of replicates start..stop-1 of master seed ``seed``."""
+    indices = range(start, stop)
+    rows = job([split_stream(seed, i) for i in indices])
+    for i, row in zip(indices, rows):
+        row["master_seed"] = seed
+        row["replicate_index"] = i
+    return rows
+
+
 def _run_replicates(
+    points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int]],
     reps: int,
-    seed: int,
-    job: Callable[[list[np.random.Generator]], list[dict]],
+    edges: int,
     threads: int = 1,
     block: int = 1,
-) -> list[dict]:
-    """Rows of replicates 0..reps-1 in index order. ``job`` maps the streams
-    of a block of up to ``block`` consecutive replicates to one row each;
-    replicate i's stream is ``split_stream(seed, i)`` whatever the block and
-    thread counts, and with ``threads`` > 1 whole blocks go to a pool."""
+) -> list[list[dict]]:
+    """For each ``(job, seed)`` of ``points``, the rows of its replicates
+    0..reps-1 in index order. A job maps the streams of up to ``block``
+    consecutive replicates to one picklable row each, and must itself be
+    picklable: a module-level function or a ``partial`` of one. Replicate i
+    of a point runs on ``split_stream(seed, i)`` whatever the block and
+    worker counts. ``edges`` is the number of edges the call samples in
+    all; with ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` of them,
+    every block goes to the process pool in one map."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-
-    def run(start: int) -> list[dict]:
-        indices = range(start, min(start + block, reps))
-        rows = job([split_stream(seed, i) for i in indices])
-        for i, row in zip(indices, rows):
-            row["master_seed"] = seed
-            row["replicate_index"] = i
-        return rows
-
-    starts = range(0, reps, block)
-    if threads == 1:
-        blocks = [run(start) for start in starts]
+    tasks = [
+        (job, seed, start, min(start + block, reps))
+        for job, seed in points
+        for start in range(0, reps, block)
+    ]
+    workers = 1
+    if threads > 1 and edges >= _POOL_MIN_EDGES:
+        workers = _pool_workers(threads, len(tasks))
+    if workers == 1:
+        blocks = [_run_block(*task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run, starts))
-    return [row for rows in blocks for row in rows]
+        from concurrent.futures.process import BrokenProcessPool
 
-
-def _each(job: Callable[[np.random.Generator], dict]):
-    """A block job that runs a one-replicate job on each stream in turn."""
-    return lambda rngs: [job(rng) for rng in rngs]
+        try:
+            blocks = list(_executor(workers).map(_run_block, *zip(*tasks)))
+        except BrokenProcessPool:
+            _close_pool()  # a worker died; the next call starts a new pool
+            raise
+    per_point = -(-reps // block)  # blocks per point
+    return [
+        [row for rows in blocks[k * per_point : (k + 1) * per_point] for row in rows]
+        for k in range(len(points))
+    ]
 
 
 # ----------------------------------------------------------------------
 # Expected-vs-observed tree counts on the genome fixtures
 # ----------------------------------------------------------------------
+
+
+def _tree_rows(
+    m: int, n: int, t: int, shapes: Sequence[tuple[int, int]], rngs: list[np.random.Generator]
+) -> list[dict]:
+    """Per stream, the tree count of each shape in ``sample_tp(m, n, t, rng)``,
+    the streams run as one lock-step block."""
+    edges = sample_tp_edges(m, n, t, rngs)
+    max_i = max(i for i, _ in shapes)
+    max_j = max(j for _, j in shapes)
+    rows, cols = zip(*shapes)
+    counts = block_tree_census(m, n, edges, max_i, max_j)[:, rows, cols]
+    keys = [f"{i},{j}" for i, j in shapes]
+    return [dict(zip(keys, row)) for row in counts.tolist()]
 
 
 def run_tree_comparison(
@@ -150,9 +273,9 @@ def run_tree_comparison(
     Replicate i of dataset d counts the trees of the graph that
     ``sample_tp(m, n, t, split_stream(seed + d, i))`` returns. The replicates
     run in lock-step blocks of ``_TREE_BLOCK`` (:func:`sample_tp_edges` and
-    :func:`block_tree_census`), with whole blocks on the thread pool when
-    ``threads`` > 1; every stream stays with its replicate, so the report is
-    the same for every thread count. Raises InputError for reps < 0,
+    :func:`block_tree_census`), the blocks of all datasets on the process
+    pool when ``threads`` > 1; every stream stays with its replicate, so the
+    report is the same for every ``threads``. Raises InputError for reps < 0,
     seed < 0 or threads < 1.
     """
     if reps < 0:
@@ -163,34 +286,30 @@ def run_tree_comparison(
         raise InputError(f"threads must be >= 1, got {threads}")
     if datasets is None:
         datasets = [load_fixture(name) for name in fixture_names()]
+    datasets = list(datasets)
+    sizes = [
+        tuple((ds.published or {}).get(k, getattr(ds.graph, k)) for k in ("m", "n", "t"))
+        for ds in datasets
+    ]
+    sims = _run_replicates(
+        [(partial(_tree_rows, m, n, t, shapes), seed + d) for d, (m, n, t) in enumerate(sizes)],
+        reps,
+        reps * sum(t for _, _, t in sizes),
+        threads,
+        block=_TREE_BLOCK,
+    )
     max_i = max(s[0] for s in shapes)
     max_j = max(s[1] for s in shapes)
-    cells = tuple(zip(*shapes))  # (the shapes' i values, their j values)
-    keys = [f"{i},{j}" for i, j in shapes]
     rows: list[dict] = []
     flags: list[str] = []
-    for ds_index, ds in enumerate(datasets):
+    for ds, (m, n, t), raw in zip(datasets, sizes, sims):
         pub = ds.published or {}
-        m = pub.get("m", ds.graph.m)
-        n = pub.get("n", ds.graph.n)
-        t = pub.get("t", ds.graph.t)
         left = theory.solve_rate(t / m)
         right = theory.solve_rate(t / n)
         observed = tree_census(components(ds.graph), max_i, max_j)
-        sim_mean: dict[tuple[int, int], float] = {}
-        sim_se: dict[tuple[int, int], float] = {}
-        if reps > 0:
-            def job(rngs: list[np.random.Generator], _m=m, _n=n, _t=t) -> list[dict]:
-                edges = sample_tp_edges(_m, _n, _t, rngs)
-                counts = block_tree_census(_m, _n, edges, max_i, max_j)[:, cells[0], cells[1]]
-                return [dict(zip(keys, row)) for row in counts.tolist()]
-
-            raw = _run_replicates(reps, seed + ds_index, job, threads, block=_TREE_BLOCK)
-            for shape in shapes:
-                key = f"{shape[0]},{shape[1]}"
-                sim_mean[shape], sim_se[shape] = _mean_se([r[key] for r in raw])
         for i, j in shapes:
             key = f"{i},{j}"
+            sim_mean, sim_se = _mean_se([r[key] for r in raw]) if raw else (None, None)
             ea = theory.expected_trees(i, j, m, n, t)
             ea_pub = pub.get("expected_trees", {}).get(key)
             obs_pub = pub.get("observed_trees", {}).get(key)
@@ -224,8 +343,8 @@ def run_tree_comparison(
                     "observed": obs,
                     "observed_published": obs_pub,
                     "poisson_tail": tail,
-                    "sim_mean": sim_mean.get((i, j)),
-                    "sim_se": sim_se.get((i, j)),
+                    "sim_mean": sim_mean,
+                    "sim_se": sim_se,
                     "published_mismatch": flagged,
                 }
             )
@@ -235,6 +354,24 @@ def run_tree_comparison(
 # ----------------------------------------------------------------------
 # Giant-component sweep
 # ----------------------------------------------------------------------
+
+
+def _giant_rows(m: int, n: int, t: int, rngs: list[np.random.Generator]) -> list[dict]:
+    """Per stream, the largest components of ``sample_tp(m, n, t, rng)``."""
+    rows = []
+    for rng in rngs:
+        summary = components(sample_tp(m, n, t, rng))
+        big = summary.largest
+        rows.append(
+            {
+                "largest_left_fraction": int(summary.left[big]) / m,
+                "largest_right_fraction": int(summary.right[big]) / n,
+                "largest_size": summary.largest_size,
+                "second_largest_size": summary.second_largest_size,
+                "n_components": summary.n_components,
+            }
+        )
+    return rows
 
 
 def sweep_giant(
@@ -247,32 +384,28 @@ def sweep_giant(
     for each (m, n, t) grid point, plus the analytic giant fractions."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
-    rows: list[dict] = []
-    for point_index, (m, n, t) in enumerate(grid):
+    theories = []
+    for m, n, t in grid:
         left = theory.solve_rate(t / m)
         right = theory.solve_rate(t / n)
         ext = theory.extinction_probabilities(left.rate, right.rate)
-
-        def job(rng: np.random.Generator, _m=m, _n=n, _t=t) -> dict:
-            summary = components(sample_tp(_m, _n, _t, rng))
-            big = summary.largest
-            return {
-                "largest_left_fraction": int(summary.left[big]) / _m,
-                "largest_right_fraction": int(summary.right[big]) / _n,
-                "largest_size": summary.largest_size,
-                "second_largest_size": summary.second_largest_size,
-                "n_components": summary.n_components,
-            }
-
-        for row in _run_replicates(reps, seed + point_index, _each(job), threads):
-            row.update(
-                m=m,
-                n=n,
-                t=t,
+        theories.append(
+            dict(
                 rate_product=left.rate * right.rate,
                 giant_left_fraction=1.0 - ext.xi_left,
                 giant_right_fraction=1.0 - ext.xi_right,
             )
+        )
+    sims = _run_replicates(
+        [(partial(_giant_rows, m, n, t), seed + k) for k, (m, n, t) in enumerate(grid)],
+        reps,
+        reps * sum(t for _, _, t in grid),
+        threads,
+    )
+    rows: list[dict] = []
+    for (m, n, t), extra, point_rows in zip(grid, theories, sims):
+        for row in point_rows:
+            row.update(m=m, n=n, t=t, **extra)
             rows.append(row)
     return rows
 
@@ -310,6 +443,11 @@ def aggregate_giant_rows(rows: list[dict]) -> list[dict]:
 # ----------------------------------------------------------------------
 
 
+def _connectivity_rows(m: int, n: int, t: int, rngs: list[np.random.Generator]) -> list[dict]:
+    """Per stream, whether ``sample_tp(m, n, t, rng)`` is connected."""
+    return [{"connected": int(is_connected(sample_tp(m, n, t, rng)))} for rng in rngs]
+
+
 def sweep_connectivity(
     m: int,
     n: int,
@@ -323,17 +461,22 @@ def sweep_connectivity(
     (1,1)-tree count) attached to every row."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
-    rows: list[dict] = []
-    for point_index, c in enumerate(c_grid):
+    edge_counts = []
+    for c in c_grid:
         t = theory.connectivity_edge_count(m, n, c)
         if t < max(m, n):
             raise InputError(f"c={c} gives t={t} < max(m, n)")
+        edge_counts.append(t)
+    sims = _run_replicates(
+        [(partial(_connectivity_rows, m, n, t), seed + k) for k, t in enumerate(edge_counts)],
+        reps,
+        reps * sum(edge_counts),
+        threads,
+    )
+    rows: list[dict] = []
+    for c, t, point_rows in zip(c_grid, edge_counts, sims):
         ea11 = theory.expected_trees(1, 1, m, n, t)
-
-        def job(rng: np.random.Generator, _t=t) -> dict:
-            return {"connected": int(is_connected(sample_tp(m, n, _t, rng)))}
-
-        for row in _run_replicates(reps, seed + point_index, _each(job), threads):
+        for row in point_rows:
             row.update(m=m, n=n, t=t, c=c, expected_trees_11=ea11)
             rows.append(row)
     return rows
@@ -344,19 +487,17 @@ def aggregate_connectivity_rows(rows: list[dict]) -> list[dict]:
     out = []
     for c in sorted({r["c"] for r in rows}):
         group = [r for r in rows if r["c"] == c]
-        k = sum(r["connected"] for r in group)
-        reps = len(group)
-        p_hat = k / reps
+        p_hat, se = _proportion(sum(r["connected"] for r in group), len(group))
         out.append(
             {
                 "m": group[0]["m"],
                 "n": group[0]["n"],
                 "t": group[0]["t"],
                 "c": c,
-                "reps": reps,
+                "reps": len(group),
                 "master_seed": group[0]["master_seed"],
                 "p_connected": p_hat,
-                "se": math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / reps) / reps),
+                "se": se,
                 "expected_trees_11": group[0]["expected_trees_11"],
             }
         )
@@ -366,6 +507,19 @@ def aggregate_connectivity_rows(rows: list[dict]) -> list[dict]:
 # ----------------------------------------------------------------------
 # Count-ratio sweep and distinct-edge estimates
 # ----------------------------------------------------------------------
+
+
+def _distinct_rows(
+    m: int, n: int, t: int, conditioned: bool, rngs: list[np.random.Generator]
+) -> list[dict]:
+    """Per stream, whether the t edge slots of one sample are distinct."""
+    rows = []
+    for rng in rngs:
+        g = sample_tp(m, n, t, rng) if conditioned else sample_gr(m, n, t, rng)
+        codes = np.sort(g.edges[:, 0] * n + g.edges[:, 1])
+        distinct = bool((np.diff(codes) != 0).all()) if t > 1 else True
+        rows.append({"distinct": int(distinct)})
+    return rows
 
 
 def estimate_distinct_probability(
@@ -380,16 +534,12 @@ def estimate_distinct_probability(
     """Monte Carlo estimate of P(all t edge slots distinct), either in the
     plain with-replacement model or (conditioned=True) given minimum degree 1
     via the configuration model."""
-
-    def job(rng: np.random.Generator) -> dict:
-        g = sample_tp(m, n, t, rng) if conditioned else sample_gr(m, n, t, rng)
-        codes = np.sort(g.edges[:, 0] * n + g.edges[:, 1])
-        distinct = bool((np.diff(codes) != 0).all()) if t > 1 else True
-        return {"distinct": int(distinct)}
-
-    raw = _run_replicates(reps, seed, _each(job), threads)
-    k = sum(r["distinct"] for r in raw)
-    p_hat = k / reps
+    if reps < 1:
+        raise InputError(f"reps must be >= 1, got {reps}")
+    (raw,) = _run_replicates(
+        [(partial(_distinct_rows, m, n, t, conditioned), seed)], reps, reps * t, threads
+    )
+    p_hat, se = _proportion(sum(r["distinct"] for r in raw), reps)
     return {
         "m": m,
         "n": n,
@@ -398,7 +548,7 @@ def estimate_distinct_probability(
         "seed": seed,
         "conditioned": conditioned,
         "p_distinct": p_hat,
-        "se": math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / reps) / reps),
+        "se": se,
     }
 
 
@@ -410,32 +560,40 @@ def sweep_count_ratio(
 ) -> list[dict]:
     """Per (m, n, t): exact and asymptotic log counts and their ratio; with
     mc_reps > 0 also the conditioned distinct-edge probability against its
-    analytic bracket."""
+    analytic bracket, each point's replicates on master seed seed + its
+    index, as :func:`estimate_distinct_probability` would draw them."""
     rows = []
-    for point_index, (m, n, t) in enumerate(grid):
+    for m, n, t in grid:
         exact = theory.count_exact_log(m, n, t)
         asym = theory.count_asymptotic_log(m, n, t)
         lo, hi = theory.distinct_ratio_bracket(m, n, t)
-        row = {
-            "m": m,
-            "n": n,
-            "t": t,
-            "master_seed": seed,
-            "log_count_exact": exact,
-            "log_count_asymptotic": asym,
-            "exact_over_asymptotic": math.exp(exact - asym),
-            "bracket_lo": lo,
-            "bracket_hi": hi,
-            "birthday_factor": theory.birthday_factor(m, n, t),
-        }
-        if mc_reps > 0:
-            est = estimate_distinct_probability(
-                m, n, t, mc_reps, seed=seed + point_index, conditioned=True, threads=threads
-            )
-            row.update(
-                p_distinct_conditioned=est["p_distinct"], p_distinct_se=est["se"]
-            )
-        rows.append(row)
+        rows.append(
+            {
+                "m": m,
+                "n": n,
+                "t": t,
+                "master_seed": seed,
+                "log_count_exact": exact,
+                "log_count_asymptotic": asym,
+                "exact_over_asymptotic": math.exp(exact - asym),
+                "bracket_lo": lo,
+                "bracket_hi": hi,
+                "birthday_factor": theory.birthday_factor(m, n, t),
+            }
+        )
+    if mc_reps > 0:
+        sims = _run_replicates(
+            [
+                (partial(_distinct_rows, m, n, t, True), seed + k)
+                for k, (m, n, t) in enumerate(grid)
+            ],
+            mc_reps,
+            mc_reps * sum(t for _, _, t in grid),
+            threads,
+        )
+        for row, raw in zip(rows, sims):
+            p_hat, se = _proportion(sum(r["distinct"] for r in raw), mc_reps)
+            row.update(p_distinct_conditioned=p_hat, p_distinct_se=se)
     return rows
 
 

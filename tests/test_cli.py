@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from oxgrid import harness
 from oxgrid.cli import _verify_oracle, main
 from oxgrid.ingest import fixture_names, load_fixture
 
@@ -215,3 +220,85 @@ def test_verify_rejects_samples_below_one_up_front(capsys, argv):
     assert code == 1
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "kind,config",
+    [
+        ("giant", {"grid": [[100, 100]]}),
+        ("giant", {"grid": [100, 100, 300]}),
+        ("giant", {"grid": [[100.5, 100, 300]]}),
+        ("giant", {"seed": 1.5}),
+        ("giant", {"reps": True}),
+        ("connectivity", {"grid": ["x"]}),
+    ],
+    ids=["pair", "flat-grid", "float-m", "float-seed", "bool-reps", "string-c"],
+)
+def test_malformed_sweep_config_is_a_validation_error(capsys, tmp_path, kind, config):
+    base = {"kind": kind, "grid": [[300, 300, 580]], "reps": 2, "seed": 1}
+    if kind == "connectivity":
+        base.update(grid=[1.5], m=300, n=300)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **config}))
+    code, out, err = run_cli(capsys, "sweep", kind, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# each config samples more edges than harness._POOL_MIN_EDGES, so threads
+# 2 and 3 run on the worker processes
+@pytest.mark.parametrize(
+    "kind,config",
+    [
+        ("giant", {"grid": [[3000, 3000, 5792]], "reps": 6}),
+        ("connectivity", {"m": 1000, "n": 1000, "grid": [1.0, 1.5], "reps": 4}),
+        ("count-ratio", {"grid": [[300, 300, 580], [500, 500, 965]], "reps": 24}),
+    ],
+    ids=["giant", "connectivity", "count-ratio"],
+)
+def test_sweep_csv_is_byte_identical_for_every_thread_count(capsys, tmp_path, kind, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": kind, "seed": 5, **config}))
+    outs = []
+    for threads in ("1", "2", "3"):
+        code, out, _ = run_cli(capsys, "sweep", kind, "--config", str(path), "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0].count("\n") > 1
+
+
+# runs `python -m oxgrid` with the given arguments and, once the command has
+# returned, writes the PIDs of the worker processes still attached to stderr
+_RUN_THEN_LIST_WORKERS = """
+import multiprocessing, runpy, sys
+try:
+    runpy.run_module("oxgrid", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(*(p.pid for p in multiprocessing.active_children()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(harness._pool_workers(2, 2) < 2, reason="one usable CPU")
+def test_python_m_oxgrid_leaves_no_worker_running(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "giant", "grid": [[3000, 3000, 5792]], "reps": 6,
+                                "seed": 2}))
+    argv = ["sweep", "giant", "--config", str(path)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path_var}
+    proc = subprocess.run([sys.executable, "-c", _RUN_THEN_LIST_WORKERS, *argv, "--threads", "2"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stderr.split()]
+    assert pids  # the sweep ran on worker processes
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out

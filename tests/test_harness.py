@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from oxgrid.errors import InputError
+from oxgrid import harness
+from oxgrid.errors import AttemptsExhausted, InputError
 from oxgrid.generators import sample_tp
 from oxgrid.graph import components, tree_census
 from oxgrid.harness import (
@@ -21,6 +23,9 @@ from oxgrid.ingest import fixture_names, load_fixture
 from oxgrid.rng import split_stream
 from oxgrid.theory import expected_trees_exact, extinction_probabilities
 
+# a pool runs only where this process may use two CPUs
+needs_pool = pytest.mark.skipif(harness._pool_workers(2, 2) < 2, reason="one usable CPU")
+
 
 def test_experiment_config_validation():
     with pytest.raises(InputError):
@@ -29,6 +34,12 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="giant", grid=[])
     with pytest.raises(InputError):
         ExperimentConfig.from_dict({"kind": "giant", "grid": [1], "oops": 2})
+    with pytest.raises(InputError, match="reps must be an integer"):
+        ExperimentConfig(kind="giant", grid=[[300, 300, 580]], reps=True)
+    with pytest.raises(InputError, match="grid points"):
+        ExperimentConfig(kind="count-ratio", grid=[(50, 50)])
+    config = ExperimentConfig(kind="connectivity", grid=[0.6, 2], m=np.int64(400), n=400)
+    assert config.grid == [0.6, 2]
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +185,75 @@ def test_estimate_distinct_probability_conditioned_in_bracket():
 # ----------------------------------------------------------------------
 
 
-def test_sweeps_reproduce_bit_exactly_across_thread_counts():
-    a = sweep_giant([(300, 300, 580)], reps=6, seed=11, threads=1)
-    b = sweep_giant([(300, 300, 580)], reps=6, seed=11, threads=2)
-    assert a == b
-    c = sweep_connectivity(200, 200, [1.5], reps=6, seed=11, threads=2)
-    d = sweep_connectivity(200, 200, [1.5], reps=6, seed=11, threads=1)
-    assert c == d
+@pytest.mark.parametrize(
+    "giant_grid,conn_n,conn_c,reps",
+    [
+        ([(300, 300, 580)], 200, [1.5], 6),
+        pytest.param([(3000, 3000, 5792), (3000, 3000, 4185)], 1000, [1.0, 1.5], 12,
+                     marks=needs_pool),
+    ],
+    ids=["in-process", "pooled"],
+)
+def test_sweeps_reproduce_bit_exactly_across_thread_counts(giant_grid, conn_n, conn_c, reps):
+    pooled = reps * sum(t for _, _, t in giant_grid) >= harness._POOL_MIN_EDGES
+    harness._close_pool()
+    giant = [sweep_giant(giant_grid, reps=reps, seed=11, threads=k) for k in (1, 2, 3)]
+    assert (harness._pool is not None) == pooled
+    assert giant[0] == giant[1] == giant[2]
+    conn = [sweep_connectivity(conn_n, conn_n, conn_c, reps=reps, seed=11, threads=k)
+            for k in (1, 2, 3)]
+    assert conn[0] == conn[1] == conn[2]
+    assert [r["replicate_index"] for r in conn[2]] == list(range(reps)) * len(conn_c)
+
+
+def test_pooled_count_ratio_and_tree_comparison_match_in_process():
+    grid = [(300, 300, 580), (500, 500, 965)]
+    assert 24 * sum(t for _, _, t in grid) >= harness._POOL_MIN_EDGES
+    ratios = [sweep_count_ratio(grid, mc_reps=24, seed=2, threads=k) for k in (1, 2, 3)]
+    assert ratios[0] == ratios[1] == ratios[2]
+    assert all("p_distinct_conditioned" in row for row in ratios[0])
+    # 200 replicates of the five fixtures sample 200 * 209 edges
+    assert 200 * 209 >= harness._POOL_MIN_EDGES
+    reports = [run_tree_comparison(reps=200, seed=9, threads=k) for k in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _exhausted_job(rngs):
+    raise AttemptsExhausted("no candidate accepted")
+
+
+def _dying_job(rngs):
+    os._exit(1)
+
+
+def test_pooled_errors_reach_the_caller_with_their_type():
+    with pytest.raises(AttemptsExhausted, match="no candidate accepted"):
+        harness._run_replicates([(_exhausted_job, 0)], 4, harness._POOL_MIN_EDGES, threads=2)
+    # t < max(m, n) fails inside sample_tp, in a worker
+    with pytest.raises(InputError, match="t=2000 < max"):
+        estimate_distinct_probability(3000, 3000, 2000, reps=16, conditioned=True, threads=2)
+    grid = [(3000, 3000, 5792)]
+    assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
+
+
+@needs_pool
+def test_a_dead_worker_breaks_only_the_call_it_was_running():
+    from concurrent.futures.process import BrokenProcessPool
+
+    with pytest.raises(BrokenProcessPool):
+        harness._run_replicates([(_dying_job, 0)], 4, harness._POOL_MIN_EDGES, threads=2)
+    assert harness._pool is None
+    grid = [(3000, 3000, 5792)]
+    assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
+
+
+def test_worker_count_is_capped_by_cpus_and_tasks():
+    # a pure computation: no process is started for these values
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert harness._pool_workers(10**9, 10**9) == cpus
+    assert harness._pool_workers(10**6, 3) == min(3, cpus)
+    assert harness._pool_workers(2, 1) == 1
+    assert harness._pool_workers(1, 100) == 1
 
 
 def test_rows_carry_seeds_and_aggregate_is_recomputable():
