@@ -298,8 +298,9 @@ def run_tree_comparison(
         threads,
         block=_TREE_BLOCK,
     )
-    max_i = max(s[0] for s in shapes)
-    max_j = max(s[1] for s in shapes)
+    shape_i, shape_j = np.array(shapes).T
+    max_i = int(shape_i.max())
+    max_j = int(shape_j.max())
     rows: list[dict] = []
     flags: list[str] = []
     for ds, (m, n, t), raw in zip(datasets, sizes, sims):
@@ -307,10 +308,10 @@ def run_tree_comparison(
         left = theory.solve_rate(t / m)
         right = theory.solve_rate(t / n)
         observed = tree_census(components(ds.graph), max_i, max_j)
-        for i, j in shapes:
+        expected = theory.expected_trees(shape_i, shape_j, m, n, t)
+        for (i, j), ea in zip(shapes, expected.tolist()):
             key = f"{i},{j}"
             sim_mean, sim_se = _mean_se([r[key] for r in raw]) if raw else (None, None)
-            ea = theory.expected_trees(i, j, m, n, t)
             ea_pub = pub.get("expected_trees", {}).get(key)
             obs_pub = pub.get("observed_trees", {}).get(key)
             obs = int(observed[i, j])

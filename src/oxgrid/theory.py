@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .distributions import TruncatedPoissonParams, solve_rate
+from .distributions import TruncatedPoissonParams, _lgamma_arr, solve_rate
 from .errors import DomainError, InputError
 
 __all__ = [
@@ -227,26 +227,45 @@ def labeled_tree_count(i: int, j: int) -> int:
     return i ** (j - 1) * j ** (i - 1)
 
 
-def expected_trees(i: int, j: int, m: int, n: int, t: int) -> float:
+def _tree_law(i, j, a: float, b: float) -> float | np.ndarray:
+    """The (i, j)-tree term at rates (a, b), computed in log space:
+
+        exp((j-1) ln i + (i-1) ln j - ln i! - ln j! + j(ln a - b) + i(ln b - a))
+
+    that is, i^(j-1) j^(i-1) / (i! j!) * (a e^-b)^j * (b e^-a)^i. Broadcasts
+    over integer arrays i and j; scalars in give a float back. Raises
+    InputError for any entry below 1.
+    """
+    iarr = np.asarray(i)
+    jarr = np.asarray(j)
+    if (iarr < 1).any() or (jarr < 1).any():
+        raise InputError("i and j must be >= 1")
+    fi = iarr.astype(float)
+    fj = jarr.astype(float)
+    log_term = (
+        (fj - 1.0) * np.log(fi)
+        + (fi - 1.0) * np.log(fj)
+        - _lgamma_arr(fi + 1.0)
+        - _lgamma_arr(fj + 1.0)
+        + fj * (math.log(a) - b)
+        + fi * (math.log(b) - a)
+    )
+    out = np.exp(log_term)
+    return float(out) if out.ndim == 0 else out
+
+
+def expected_trees(i, j, m: int, n: int, t: int) -> float | np.ndarray:
     """Limiting expected number of (i, j)-tree components in the
     min-degree-1 model, with the rates recomputed from (m, n, t).
 
     The rates are always recomputed from the mean-degree equations; any
-    externally published rates are informational only.
+    externally published rates are informational only. Accepts scalars or
+    integer arrays for i and j (broadcast together) and is computed in log
+    space, so large shapes neither overflow nor lose digits.
     """
-    if i < 1 or j < 1:
-        raise InputError("i and j must be >= 1")
     a = solve_rate(t / m).rate
     b = solve_rate(t / n).rate
-    shapes = labeled_tree_count(i, j)
-    return (
-        shapes
-        / (math.factorial(i) * math.factorial(j))
-        * (math.exp(-b) * a) ** j
-        * (math.exp(-a) * b) ** i
-        * t
-        / (a * b)
-    )
+    return _tree_law(i, j, a, b) * (t / (a * b))
 
 
 def expected_trees_exact(i: int, j: int, m: int, n: int, t: int) -> float:
@@ -285,22 +304,12 @@ def expected_trees_exact(i: int, j: int, m: int, n: int, t: int) -> float:
     return math.exp(_log_big(num) - _log_big(denom))
 
 
-def er_expected_trees(i: int, j: int, big_m: int, big_n: int, p: float) -> float:
+def er_expected_trees(i, j, big_m: int, big_n: int, p: float) -> float | np.ndarray:
     """Expected (i, j)-tree count in the independent-edge model with
-    rates a = N p, b = M p."""
-    if i < 1 or j < 1:
-        raise InputError("i and j must be >= 1")
+    rates a = N p, b = M p; i and j as in :func:`expected_trees`."""
     if p <= 0:
         raise DomainError("edge probability must be positive")
-    a = big_n * p
-    b = big_m * p
-    return (
-        labeled_tree_count(i, j)
-        / (math.factorial(i) * math.factorial(j))
-        * (math.exp(-b) * a) ** j
-        * (math.exp(-a) * b) ** i
-        / p
-    )
+    return _tree_law(i, j, big_n * p, big_m * p) / p
 
 
 # ----------------------------------------------------------------------
@@ -411,10 +420,11 @@ def predict(m: int, n: int, t: int, max_tree: int = 4) -> PredictionReport:
     left = solve_rate(t / m)
     right = solve_rate(t / n)
     ext = extinction_probabilities(left.rate, right.rate)
+    sizes = np.arange(1, max_tree + 1)
     ea = np.zeros((max_tree + 1, max_tree + 1))
-    for i in range(1, max_tree + 1):
-        for j in range(1, max_tree + 1):
-            ea[i, j] = expected_trees(i, j, m, n, t)
+    ea[1:, 1:] = _tree_law(sizes[:, None], sizes, left.rate, right.rate) * (
+        t / (left.rate * right.rate)
+    )
     exact = count_exact_log(m, n, t) if max(m, n) <= _EXACT_COUNT_LIMIT else None
     return PredictionReport(
         m=m,

@@ -25,6 +25,18 @@ def test_predict_subcritical_grid(capsys):
     assert payload["expected_trees"]["1,1"] == pytest.approx(9.23, rel=0.03)
 
 
+def test_predict_large_tree_table_is_finite(capsys):
+    # i^(j-1) j^(i-1) / (i! j!) is past float range here; the table must not be
+    code, out, _ = run_cli(
+        capsys, "predict", "--m", "10000", "--n", "10000", "--t", "13000", "--max-tree", "400"
+    )
+    assert code == 0
+    table = json.loads(out)["expected_trees"]
+    assert len(table) == 400 * 400
+    assert all(0.0 <= v < float("inf") for v in table.values())
+    assert table["1,1"] > table["400,400"]
+
+
 def test_predict_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "predict", "--m", "5", "--n", "5", "--t", "5")
     assert code == 1

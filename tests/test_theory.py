@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oxgrid.distributions import solve_rate
 from oxgrid.errors import DomainError, InputError
 from oxgrid.oracle import exhaustive_census
 from oxgrid.theory import (
@@ -186,6 +187,106 @@ def test_expected_trees_exact_approaches_limit():
     gap_large = abs(expected_trees_exact(1, 1, 220, 210, 280) / expected_trees(1, 1, 220, 210, 280) - 1)
     assert gap_large < gap_small
     assert expected_trees_exact(1, 1, 22, 21, 28) == pytest.approx(9.08246, rel=1e-4)
+
+
+def _scalar_tree_law(i: int, j: int, a: float, b: float, scale: float) -> float:
+    """Reference: the (i, j)-tree law as a scalar product of big-integer
+    factorials and float powers, times ``scale``."""
+    return (
+        labeled_tree_count(i, j)
+        / (math.factorial(i) * math.factorial(j))
+        * (math.exp(-b) * a) ** j
+        * (math.exp(-a) * b) ** i
+        * scale
+    )
+
+
+# the (m, n, t) of the five genome fixtures
+FIXTURE_SIZES = [(22, 27, 44), (22, 21, 28), (22, 19, 32), (22, 38, 67), (20, 22, 38)]
+
+
+def _worst_gap(law, reference, shapes) -> float:
+    """Largest relative gap of ``law`` to ``reference`` over the shapes where
+    the reference is at least 1e-150 (below, its float powers go subnormal)."""
+    gaps = []
+    for i, j in shapes:
+        ref = reference(i, j)
+        if ref >= 1e-150:
+            gaps.append(abs(law(i, j) / ref - 1))
+    assert gaps
+    return max(gaps)
+
+
+SMALL_SHAPES = [(i, j) for i in range(1, 9) for j in range(1, 9)]
+
+
+@pytest.mark.parametrize("m,n,t", FIXTURE_SIZES)
+def test_expected_trees_matches_scalar_reference_on_fixtures(m, n, t):
+    a = solve_rate(t / m).rate
+    b = solve_rate(t / n).rate
+    gap = _worst_gap(
+        lambda i, j: expected_trees(i, j, m, n, t),
+        lambda i, j: _scalar_tree_law(i, j, a, b, t / (a * b)),
+        SMALL_SHAPES,
+    )
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("t", [19308, 13949])  # the c4 and c5a points
+def test_expected_trees_matches_scalar_reference_to_size_300(t):
+    m = n = 10**4
+    a = solve_rate(t / m).rate
+    b = solve_rate(t / n).rate
+    k = np.arange(1, 300)
+    table = expected_trees(k[:, None], k, m, n, t)
+    shapes = [(i, j) for i in range(1, 300) for j in range(1, 301 - i)]
+    gap = _worst_gap(
+        lambda i, j: table[i - 1, j - 1],
+        lambda i, j: _scalar_tree_law(i, j, a, b, t / (a * b)),
+        shapes,
+    )
+    assert gap <= 1e-12
+    assert np.isfinite(table).all() and (table >= 0).all()
+
+
+def test_expected_trees_array_call_equals_scalar_calls():
+    k = np.arange(1, 41)
+    table = expected_trees(k[:, None], k, 22, 21, 28)
+    assert table.shape == (40, 40)
+    scalars = [[expected_trees(i, j, 22, 21, 28) for j in range(1, 41)] for i in range(1, 41)]
+    assert all(type(v) is float for row in scalars for v in row)
+    assert np.array_equal(table, np.array(scalars))
+    # a row of shapes broadcasts against a scalar
+    assert np.array_equal(expected_trees(3, k, 22, 21, 28), table[2])
+
+
+@pytest.mark.parametrize("m,n,t", FIXTURE_SIZES)
+def test_er_expected_trees_matches_scalar_reference(m, n, t):
+    from oxgrid.generators import er_params_for
+
+    big_m, big_n, p = er_params_for(m, n, t)
+    gap = _worst_gap(
+        lambda i, j: er_expected_trees(i, j, big_m, big_n, p),
+        lambda i, j: _scalar_tree_law(i, j, big_n * p, big_m * p, 1 / p),
+        SMALL_SHAPES,
+    )
+    assert gap <= 1e-12
+    k = np.arange(1, 9)
+    assert np.array_equal(
+        er_expected_trees(k[:, None], k, big_m, big_n, p),
+        np.array([[er_expected_trees(i, j, big_m, big_n, p) for j in k] for i in k]),
+    )
+
+
+def test_tree_law_rejects_shapes_below_one():
+    with pytest.raises(InputError):
+        expected_trees(np.array([1, 0, 2]), 1, 22, 21, 28)
+    with pytest.raises(InputError):
+        expected_trees(1, np.array([[2], [0]]), 22, 21, 28)
+    with pytest.raises(InputError):
+        expected_trees(0, 1, 22, 21, 28)
+    with pytest.raises(InputError):
+        er_expected_trees(np.array([0, 1]), 1, 30, 30, 0.05)
 
 
 def test_er_expected_trees_consistency():
