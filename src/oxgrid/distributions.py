@@ -182,23 +182,24 @@ _INVERSE_CDF_MAX_RATE = 30.0
 
 
 @lru_cache(maxsize=128)
-def _sampler_cdf(rate: float) -> tuple[np.ndarray, bool]:
+def _sampler_cdf(rate: float) -> np.ndarray:
+    """P(Y <= k) for k = 1, 2, ..., cut at the first entry that reaches the
+    sum's final value; that entry, whose k takes the float-unresolvable
+    tail, is set to 1. Threads share the table, so it is read-only."""
     params = TruncatedPoissonParams.from_rate(rate)
     cdf = np.cumsum(pmf_table(params))
-    # when the table absorbs all float-resolvable mass, u in [0, 1) cannot
-    # land past the last entry and the overflow clamp can be skipped
-    complete = bool(cdf[-1] >= 1.0 - 2.0**-53)
-    return cdf, complete
+    cdf = cdf[: int(np.argmax(cdf == cdf[-1])) + 1]
+    cdf[-1] = 1.0
+    cdf.setflags(write=False)
+    return cdf
 
 
 def _inverse_cdf(rate: float, u: np.ndarray) -> np.ndarray:
     """Truncated-Poisson values of uniforms ``u`` in [0, 1), any shape,
     for rate <= _INVERSE_CDF_MAX_RATE."""
-    cdf, complete = _sampler_cdf(rate)
-    # side="right" maps u < cdf[0] to 0, i.e. k = 1
-    out = np.searchsorted(cdf, u, side="right")
-    if not complete:
-        np.minimum(out, len(cdf) - 1, out=out)
+    # side="right" maps u < cdf[0] to 0, i.e. k = 1, and no u < 1 passes
+    # the last entry
+    out = np.searchsorted(_sampler_cdf(rate), u, side="right")
     out += 1
     return out
 

@@ -25,6 +25,7 @@ stream; identical seeds reproduce identical graphs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,29 +183,54 @@ def _sum_law(rate: float, j: int) -> tuple[int, np.ndarray]:
     return j + lo - 1, law
 
 
-class _Budget:
-    """Candidate vectors drawn by one conditioning call, how many of them
-    were accepted and how many their acceptance probabilities predicted;
-    the limit is checked before each batch."""
+@lru_cache(maxsize=256)
+def _rate(mean: float) -> TruncatedPoissonParams:
+    """:func:`solve_rate`, cached: the replicates of one size condition each
+    side at the same mean, and the recursion's rests at a few."""
+    return solve_rate(mean)
 
-    def __init__(self, count: int, total: int, limit: int):
+
+class _Budget:
+    """Candidate vectors drawn by one conditioning call on each of its
+    streams, how many of them were accepted and how many their acceptance
+    probabilities predicted, one entry per stream; a stream's limit is
+    checked before each of its batches."""
+
+    def __init__(self, count: int, total: int, limit: int, streams: int = 1):
         if limit < 1:
             raise InputError(f"max_attempts must be >= 1, got {limit}")
         self.count, self.total, self.limit = count, total, limit
-        self.drawn = 0
-        self.accepted = 0
-        self.expected = 0.0
+        self.drawn = np.zeros(streams, dtype=np.int64)
+        self.accepted = np.zeros(streams, dtype=np.int64)
+        self.expected = np.zeros(streams)
 
-    def spend(self, candidates: int, expected_accepted: float) -> None:
-        if self.drawn >= self.limit:
+    def stream(self, s: int) -> "_Budget":
+        """Stream ``s`` alone, as a one-stream budget that shares its entries."""
+        view = copy.copy(self)
+        view.drawn, view.accepted, view.expected = (
+            entries[s : s + 1] for entries in (self.drawn, self.accepted, self.expected)
+        )
+        return view
+
+    def spend(self, streams, candidates: int, expected_accepted: float) -> None:
+        """Charge a batch to each of ``streams`` (an index or index array),
+        unless one of them has reached the limit."""
+        drawn = self.drawn[streams]
+        exhausted = drawn >= self.limit
+        # one stream's index gives a scalar, an index array an array
+        if np.count_nonzero(exhausted) if isinstance(exhausted, np.ndarray) else exhausted:
+            first = np.zeros(self.drawn.size, dtype=bool)
+            first[streams] = exhausted
+            s = first.argmax()
+            drawn, accepted, expected = self.drawn[s], self.accepted[s], self.expected[s]
             raise AttemptsExhausted(
                 f"degree-sum conditioning stopped at its budget of {self.limit} "
                 f"candidate vectors (count={self.count}, total={self.total}): "
-                f"attempts={self.drawn}, accepted={self.accepted}, observed acceptance "
-                f"{self.accepted / self.drawn:.3g}, predicted {self.expected / self.drawn:.3g}"
+                f"attempts={drawn}, accepted={accepted}, observed acceptance "
+                f"{accepted / drawn:.3g}, predicted {expected / drawn:.3g}"
             )
-        self.drawn += candidates
-        self.expected += expected_accepted
+        self.drawn[streams] = drawn + candidates
+        self.expected[streams] = self.expected[streams] + expected_accepted
 
 
 def _accepted_prefixes(
@@ -222,14 +248,15 @@ def _accepted_prefixes(
     first, law = _sum_law(params.rate, j)
     out = np.empty((targets.size, h), dtype=np.int64)
     open_rows = np.arange(targets.size)
+    offsets = targets - first  # each open row's target as an index into law
     while open_rows.size:
-        budget.spend(open_rows.size, float(predicted[open_rows].sum()))
+        budget.spend(0, open_rows.size, float(predicted.sum()))
         draws = sample_truncated(params, rng, open_rows.size * h).reshape(-1, h)
-        left = targets[open_rows] - draws.sum(axis=1)
-        keep = rng.random(open_rows.size) < law.take(left - first, mode="clip")
+        keep = rng.random(open_rows.size) < law.take(offsets - draws.sum(axis=1), mode="clip")
         out[open_rows[keep]] = draws[keep]
-        budget.accepted += int(np.count_nonzero(keep))
-        open_rows = open_rows[~keep]
+        budget.accepted[0] += np.count_nonzero(keep)
+        redraw = ~keep
+        open_rows, offsets, predicted = open_rows[redraw], offsets[redraw], predicted[redraw]
     return out
 
 
@@ -250,7 +277,7 @@ def _leaf_vectors(
     target: int,
     vectors: int,
     rngs: Sequence[np.random.Generator],
-    budgets: Sequence[_Budget],
+    budget: _Budget,
 ) -> np.ndarray:
     """``vectors`` vectors of ``count`` iid draws from each stream, each
     summing to ``target``, shape (len(rngs), vectors, count), by whole-vector
@@ -258,7 +285,7 @@ def _leaf_vectors(
     rows in draw order, until it has ``vectors`` of them.
 
     The streams run in lock-step, but each draws exactly what it would draw
-    alone and spends its own budget."""
+    alone and spends its own row of ``budget``."""
     # local CLT at the mean: P(sum hits target) ~ 1/sqrt(2 pi var count)
     p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
     if vectors == 1:
@@ -270,24 +297,28 @@ def _leaf_vectors(
         batch = max(64, min(int(1.2 * vectors / p_hit) + 1, 4_000_000 // count))
     expected = batch * min(1.0, p_hit)
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    have = [0] * len(rngs)
-    streams = list(range(len(rngs)))  # the streams still short of vectors
-    while streams:
-        for s in streams:
-            budgets[s].spend(batch, expected)
-        draws = _draws(params, [rngs[s] for s in streams], batch * count)
-        draws = draws.reshape(len(streams), batch, count)
-        hits = draws.sum(axis=2) == target
+    rows = out.reshape(-1, count)  # stream s fills rows s * vectors onwards
+    streams = np.arange(len(rngs))  # the streams still short of vectors
+    fill = np.arange(0, len(rngs) * vectors, vectors)  # each open stream's next row
+    end = fill + vectors
+    while streams.size:
+        budget.spend(streams, batch, expected)
+        draws = _draws(params, [rngs[s] for s in streams.tolist()], batch * count)
+        draws = draws.reshape(streams.size, batch, count)
+        # einsum sums a short last axis several times faster than sum
+        hits = np.einsum("ijk->ij", draws) == target
         if not np.count_nonzero(hits):
             continue
-        for r in hits.any(axis=1).nonzero()[0].tolist():
-            s = streams[r]
-            found = draws[r][hits[r]]
-            budgets[s].accepted += found.shape[0]
-            found = found[: vectors - have[s]]
-            out[s, have[s] : have[s] + found.shape[0]] = found
-            have[s] += found.shape[0]
-        streams = [s for s in streams if have[s] < vectors]
+        # a stream keeps its first hits in draw order, up to what it lacks:
+        # the hit of rank r among its stream's hits fills row fill + r - 1
+        slot = hits.cumsum(axis=1, dtype=np.int32)  # out has far fewer than 2^31 rows
+        budget.accepted[streams] += slot[:, -1]
+        slot += (fill - 1)[:, None]
+        take = np.flatnonzero(hits & (slot < end[:, None]))
+        rows[slot.ravel()[take]] = draws.reshape(-1, count)[take]
+        fill = slot[:, -1] + 1
+        short = fill < end
+        streams, fill, end = streams[short], fill[short], end[short]
     return out
 
 
@@ -303,8 +334,8 @@ def _split(
     coordinates summing to ``total``, one stream; the recursive step of
     :func:`_conditioned_degrees`."""
     vectors = out.shape[0]
-    targets = np.full(vectors, total, dtype=np.int64)
     rows = np.arange(vectors)  # the rows still conditioned at this rate
+    targets = np.full(vectors, total, dtype=np.int64)  # what each has left to sum to
     z = np.zeros(vectors)  # their targets' distance from the mean, in sd
     done = 0
     while rows.size:
@@ -312,16 +343,18 @@ def _split(
         rest = count - done - h
         # local CLT: a row keeps a candidate with chance ~ sqrt(j/(h+j)) e^(-z^2/2)
         predicted = math.sqrt(rest / (count - done)) * np.exp(-0.5 * z * z)
-        prefix = _accepted_prefixes(params, h, rest, targets[rows], predicted, rng, budget)
+        prefix = _accepted_prefixes(params, h, rest, targets, predicted, rng, budget)
         out[rows, done : done + h] = prefix
-        targets[rows] -= prefix.sum(axis=1)
+        targets -= prefix.sum(axis=1)
         done += h
-        z = (targets[rows] - rest * params.mean) / math.sqrt(rest * params.variance)
+        z = (targets - rest * params.mean) / math.sqrt(rest * params.variance)
         fresh = np.abs(z) > _STRAY if rest > _LEAF else np.ones(rows.size, dtype=bool)
-        for target in np.unique(targets[rows[fresh]]):
-            group = rows[fresh & (targets[rows] == target)]
-            out[group, done:] = _condition(group.size, rest, int(target), [rng], [budget])[0]
-        rows, z = rows[~fresh], z[~fresh]
+        if not np.count_nonzero(fresh):
+            continue
+        for target in np.unique(targets[fresh]):
+            group = rows[fresh & (targets == target)]
+            out[group, done:] = _condition(group.size, rest, int(target), [rng], budget)[0]
+        rows, targets, z = rows[~fresh], targets[~fresh], z[~fresh]
 
 
 def _condition(
@@ -329,22 +362,22 @@ def _condition(
     count: int,
     total: int,
     rngs: Sequence[np.random.Generator],
-    budgets: Sequence[_Budget],
+    budget: _Budget,
 ) -> np.ndarray:
     """The body of :func:`_conditioned_degrees` for several streams at once,
-    each with its own budget; shape (len(rngs), vectors, count). Short
-    vectors run the streams in lock-step, long ones split stream by
+    each with its own row of ``budget``; shape (len(rngs), vectors, count).
+    Short vectors run the streams in lock-step, long ones split stream by
     stream."""
     if total == count:
         return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
     if count == 1:
         return np.full((len(rngs), vectors, 1), total, dtype=np.int64)  # forced single vertex
-    params = solve_rate(total / count)
+    params = _rate(total / count)
     if count <= _LEAF:
-        return _leaf_vectors(params, count, total, vectors, rngs, budgets)
+        return _leaf_vectors(params, count, total, vectors, rngs, budget)
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    for rows, rng, budget in zip(out, rngs, budgets):
-        _split(params, count, total, rng, budget, rows)
+    for s, (rows, rng) in enumerate(zip(out, rngs)):
+        _split(params, count, total, rng, budget.stream(s), rows)
     return out
 
 
@@ -374,7 +407,7 @@ def _conditioned_degrees(
     ``max_attempts`` bounds the candidate vectors (prefixes and whole
     leaves) over the whole call.
     """
-    return _condition(vectors, count, total, [rng], [_Budget(count, total, max_attempts)])[0]
+    return _condition(vectors, count, total, [rng], _Budget(count, total, max_attempts))[0]
 
 
 def _stubs(degrees: np.ndarray) -> np.ndarray:
@@ -396,11 +429,12 @@ def sample_tp_edges(
     (len(rngs), t, 2): row r is exactly ``sample_tp(m, n, t, rngs[r]).edges``.
 
     Every stream makes the calls that :func:`sample_tp` makes on it: left
-    degrees, right degrees, then one ``permutation(t)``. Short sides run the
-    streams in lock-step, so a batch of candidates costs one inverse-CDF
-    lookup for all of them; sides longer than ``_LEAF`` are conditioned
-    stream by stream. Each stream has its own budget of ``max_attempts``
-    candidate vectors per side.
+    degrees, right degrees, then one shuffle of its t right stubs, which
+    draws what ``permutation(t)`` draws. Short sides run the streams in
+    lock-step, so a batch of candidates costs one inverse-CDF lookup for all
+    of them; sides longer than ``_LEAF`` are conditioned stream by stream.
+    Each stream has its own budget of ``max_attempts`` candidate vectors per
+    side, one row of a budget shared by the block.
     """
     if m < 1 or n < 1:
         raise InputError("m and n must be >= 1")
@@ -409,13 +443,15 @@ def sample_tp_edges(
             f"t={t} < max(m, n)={max(m, n)}: some vertex must stay isolated"
         )
     degrees = [
-        _condition(1, count, t, rngs, [_Budget(count, t, max_attempts) for _ in rngs])[:, 0]
+        _condition(1, count, t, rngs, _Budget(count, t, max_attempts, len(rngs)))[:, 0]
         for count in (m, n)  # every stream draws its left side before its right
     ]
     edges = np.empty((len(rngs), t, 2), dtype=np.int64)
     edges[:, :, 0] = _stubs(degrees[0])
-    for pairs, right, rng in zip(edges, _stubs(degrees[1]), rngs):
-        pairs[:, 1] = right[rng.permutation(t)]
+    right = _stubs(degrees[1])
+    for row, rng in zip(right, rngs):
+        rng.shuffle(row)  # the swaps that permutation(t) makes on arange(t)
+    edges[:, :, 1] = right
     return edges
 
 

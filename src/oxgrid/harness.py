@@ -44,7 +44,8 @@ from .errors import InputError
 from .generators import sample_gr, sample_tp, sample_tp_edges
 from .graph import block_tree_census, components, is_connected, tree_census
 from .ingest import Dataset, fixture_names, load_fixture
-from .rng import split_stream
+# perfbench/layers.py looks split_stream up here to trace it
+from .rng import split_stream, split_streams  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -186,10 +187,10 @@ def _executor(workers: int):
 def _run_block(
     job: Callable[[list[np.random.Generator]], list[dict]], seed: int, start: int, stop: int
 ) -> list[dict]:
-    """Rows of replicates start..stop-1 of master seed ``seed``."""
-    indices = range(start, stop)
-    rows = job([split_stream(seed, i) for i in indices])
-    for i, row in zip(indices, rows):
+    """Rows of replicates start..stop-1 of master seed ``seed``, whose
+    streams are derived together."""
+    rows = job(split_streams(seed, start, stop))
+    for i, row in zip(range(start, stop), rows):
         row["master_seed"] = seed
         row["replicate_index"] = i
     return rows

@@ -61,13 +61,19 @@ def count_exact(m: int, n: int, t: int) -> int:
     and the two coordinates are independent, so the count factors into a
     product of two surjection counts.
     """
+    if not _coverable(m, n, t):
+        return 0
+    return surjection_count(t, m) * surjection_count(t, n)
+
+
+def _coverable(m: int, n: int, t: int) -> bool:
+    """Whether t edges can cover every vertex of (m, n); InputError for
+    m < 1, n < 1 or t < 0."""
     if m < 1 or n < 1:
         raise InputError("m and n must be >= 1")
     if t < 0:
         raise InputError("t must be >= 0")
-    if t < max(m, n):
-        return 0
-    return surjection_count(t, m) * surjection_count(t, n)
+    return t >= max(m, n)
 
 
 def _log_big(x: int) -> float:
@@ -80,8 +86,14 @@ def _log_big(x: int) -> float:
 
 
 def count_exact_log(m: int, n: int, t: int) -> float:
-    """log of :func:`count_exact`; -inf when t < max(m, n)."""
-    return _log_big(count_exact(m, n, t))
+    """log of :func:`count_exact`; -inf when t < max(m, n).
+
+    The sum of the logs of the two surjection counts, so their product is
+    never formed, and a square grid counts its one side once."""
+    if not _coverable(m, n, t):
+        return float("-inf")
+    left = _log_big(surjection_count(t, m))
+    return 2.0 * left if m == n else left + _log_big(surjection_count(t, n))
 
 
 def _log_expm1(x: float) -> float:

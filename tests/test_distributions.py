@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oxgrid import distributions
 from oxgrid.distributions import (
     TruncatedPoissonParams,
     implied_mean,
@@ -17,6 +18,7 @@ from oxgrid.distributions import (
     tail_bounds,
 )
 from oxgrid.errors import DomainError, InputError
+from oxgrid.ingest import fixture_names, load_fixture
 from oxgrid.rng import make_stream
 
 
@@ -163,6 +165,29 @@ def test_sampling_is_deterministic():
     b = sample_truncated(p, make_stream(99), 1000)
     assert np.array_equal(a, b)
     assert isinstance(sample_truncated(p, make_stream(1)), int)
+
+
+def _fixture_rates() -> list[float]:
+    rates = []
+    for name in fixture_names():
+        ds = load_fixture(name)
+        m, n, t = ((ds.published or {}).get(k, getattr(ds.graph, k)) for k in ("m", "n", "t"))
+        rates += [solve_rate(t / m).rate, solve_rate(t / n).rate]
+    return rates
+
+
+@pytest.mark.parametrize("rate", _fixture_rates())
+def test_largest_uniform_stays_inside_the_inverse_cdf_table(rate):
+    # u = 1 - 2^-53, the largest value random() returns, lands on the first
+    # k whose cumulative sum reaches the table's final value: never past the
+    # table, and never at the hard cap of an incomplete table
+    full = np.cumsum(pmf_table(TruncatedPoissonParams.from_rate(rate)))
+    first_final = int(np.argmax(full == full[-1])) + 1
+    table = distributions._sampler_cdf(rate)
+    assert table.size == first_final and table[-1] == 1.0
+    assert np.array_equal(table[:-1], full[: first_final - 1])
+    u = np.array([0.0, full[0], np.nextafter(1.0, 0.0)])
+    assert distributions._inverse_cdf(rate, u).tolist() == [1, 2, first_final]
 
 
 def test_sample_poisson_validation(rng):

@@ -381,6 +381,78 @@ def test_tp_edges_budget_failure_is_informative():
         assert field in message
 
 
+# (vectors, count, total): short sides at a few rates, and one longer than
+# _LEAF, which conditions stream by stream on a view of the block's budget
+CONDITION_SIZES = [(5, 22, 44), (40, 3, 7), (12, 30, 60), (3, 70, 150)]
+
+
+def _condition_alone(vectors, count, total, seed, i, max_attempts):
+    budget = generators._Budget(count, total, max_attempts)
+    return generators._condition(vectors, count, total, [split_stream(seed, i)], budget)[0]
+
+
+@pytest.mark.parametrize("vectors,count,total", CONDITION_SIZES)
+def test_lock_step_rows_match_one_stream_calls(vectors, count, total):
+    # several vectors per stream: each stream keeps its first hits in draw
+    # order, exactly as when it runs alone
+    streams = 12
+    rngs = [split_stream(91, i) for i in range(streams)]
+    budget = generators._Budget(count, total, 10**6, streams)
+    block = generators._condition(vectors, count, total, rngs, budget)
+    assert block.shape == (streams, vectors, count)
+    assert (block.sum(axis=2) == total).all() and block.min() >= 1
+    for i in range(streams):
+        assert np.array_equal(block[i], _condition_alone(vectors, count, total, 91, i, 10**6))
+        if count <= generators._LEAF:
+            # below rate 30 a stream's candidates are consecutive rows of one
+            # run of its draws, and it keeps the first rows that hit
+            params = solve_rate(total / count)
+            rows = generators.sample_truncated(params, split_stream(91, i), 4000 * count)
+            rows = rows.reshape(-1, count)
+            assert np.array_equal(block[i], rows[rows.sum(axis=1) == total][:vectors])
+
+
+@pytest.mark.parametrize("vectors,count,total", [(3, 30, 60), (1, 22, 28), (2, 70, 150)])
+def test_lock_step_budgets_are_per_stream(vectors, count, total):
+    # a block succeeds with budget B exactly when every stream succeeds alone
+    # with B, and otherwise fails as the first stream that fails alone does
+    streams = 16
+    outcomes = set()
+    for limit in (1, 8, 64, 128, 192, 256, 512, 10**6):
+        alone = []
+        for i in range(streams):
+            try:
+                _condition_alone(vectors, count, total, 92, i, limit)
+                alone.append(None)
+            except AttemptsExhausted as err:
+                alone.append(str(err))
+        failed = [message for message in alone if message is not None]
+        rngs = [split_stream(92, i) for i in range(streams)]
+        budget = generators._Budget(count, total, limit, streams)
+        try:
+            generators._condition(vectors, count, total, rngs, budget)
+            block = None
+        except AttemptsExhausted as err:
+            block = str(err)
+        assert block == (failed[0] if failed else None)
+        outcomes.add("all" if len(failed) == streams else "some" if failed else "none")
+    assert {"none", "some"} <= outcomes
+
+
+def test_budget_reports_the_first_exhausted_stream():
+    budget = generators._Budget(5, 9, 10, streams=3)
+    budget.spend(np.arange(3), 4, 0.5)
+    budget.spend(np.array([1, 2]), 6, 1.5)
+    budget.accepted[:] = [1, 3, 5]
+    with pytest.raises(AttemptsExhausted) as err:
+        budget.spend(np.arange(3), 4, 0.5)
+    assert "attempts=10, accepted=3, observed acceptance 0.3, predicted 0.2" in str(err.value)
+    budget.spend(0, 4, 0.5)  # stream 0 was not charged and is still within its limit
+    assert budget.drawn.tolist() == [8, 10, 10]
+    with pytest.raises(AttemptsExhausted, match="attempts=10, accepted=5,"):
+        budget.stream(2).spend(0, 1, 0.0)
+
+
 # ----------------------------------------------------------------------
 # independent-edge model
 # ----------------------------------------------------------------------

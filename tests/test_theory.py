@@ -5,6 +5,7 @@ import pytest
 
 from oxgrid.distributions import solve_rate
 from oxgrid.errors import DomainError, InputError
+from oxgrid import theory
 from oxgrid.oracle import exhaustive_census
 from oxgrid.theory import (
     birthday_factor,
@@ -43,6 +44,30 @@ def test_count_exact_log_values():
     assert count_exact_log(2, 2, 2) == pytest.approx(math.log(4))
     assert count_exact_log(1, 1, 3) == 0.0
     assert count_exact_log(5, 5, 3) == -math.inf
+
+
+@pytest.mark.parametrize(
+    "m,n,t",
+    [(1, 1, 1), (2, 2, 3), (3, 7, 12), (7, 3, 12), (40, 25, 90), (60, 60, 150), (300, 200, 800)],
+)
+def test_count_exact_log_is_the_log_of_the_exact_count(m, n, t):
+    # summed per-side logs, one side counted once on a square grid, against
+    # the log of the exact product
+    expected = theory._log_big(count_exact(m, n, t))
+    assert count_exact_log(m, n, t) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("m,n,t", [(5, 5, 4), (3, 7, 6), (7, 3, 6), (4, 2, 0)])
+def test_count_exact_log_is_minus_infinity_below_max_side(m, n, t):
+    assert count_exact_log(m, n, t) == -math.inf
+
+
+def test_count_exact_log_validates_like_count_exact():
+    for m, n, t in [(0, 3, 5), (3, 0, 5), (3, 3, -1)]:
+        with pytest.raises(InputError):
+            count_exact_log(m, n, t)
+        with pytest.raises(InputError):
+            count_exact(m, n, t)
 
 
 @pytest.mark.parametrize("m,n,t", [(2, 2, 2), (2, 2, 4), (2, 3, 4), (3, 3, 4), (1, 3, 5)])
