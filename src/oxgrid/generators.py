@@ -166,7 +166,7 @@ def _sum_law(rate: float, j: int) -> tuple[int, np.ndarray]:
     modulo N, a power of two with N >= 80 sd + 2K, and read cyclically from
     N/2 below the mean, so the mass that wraps onto the window lies over
     40 sd from the mean. A zero at each end makes a clipped lookup read 0
-    outside the window. Threads share the table, so it is read-only.
+    outside the window. The table is cached and shared, so it is read-only.
     """
     params = TruncatedPoissonParams.from_rate(rate)
     # pmf works in log space: pmf_table's recurrence starts at e^-rate,

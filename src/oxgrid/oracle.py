@@ -7,11 +7,11 @@ Every oracle here judges each object it enumerates on its own:
   prefix of its low digits and a suffix of its high ones (meet in the
   middle, Horowitz & Sahni 1974); the coverage mask of each half comes from
   a small table, so a sequence costs one OR and one compare.
-- ``enumerate_bipartite_trees`` lists the (i+j-1)-edge subsets of the
-  complete bipartite graph as bit masks, drops those that leave a vertex
-  uncovered, and judges each of the rest on its own mask: a reachability
-  closure from one vertex, run over all subsets at once, tells whether the
-  subset is connected, hence a spanning tree.
+- ``enumerate_bipartite_trees`` builds the (i+j-1)-edge subsets of the
+  complete bipartite graph that cover every vertex, as bit masks, and
+  judges each on its own mask: a reachability closure from one vertex, run
+  over all subsets at once, tells whether the subset is connected, hence a
+  spanning tree.
 - ``tp_equivalence_test`` compares configuration-model samples with the
   exact uniform law of the census, tallied by the same multiset routine.
 
@@ -128,33 +128,38 @@ def exhaustive_census(
     return ExhaustiveCensus(m, n, t, total, valid, freq)
 
 
-def _masks_with_popcount(bits: int, k: int) -> np.ndarray:
-    """Every ``bits``-bit mask with exactly k bits set, as int32 (bits <= 20).
-
-    The mask splits into a low and a high half. Each half's popcounts come
-    from a table of at most 2^10 entries, and the high halves with c bits
-    set pair with every low half with k - c bits set."""
-    low = bits // 2
-    popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(bits - low):
-        popcount = np.concatenate([popcount, popcount + 1])
-    low_count = popcount[: 1 << low]
-    parts = []
-    for c in range(max(k - low, 0), min(k, bits - low) + 1):
-        highs = np.flatnonzero(popcount == c).astype(np.int32) << low
-        lows = np.flatnonzero(low_count == k - c).astype(np.int32)
-        parts.append((highs[:, None] | lows).ravel())
-    return np.concatenate(parts)
-
-
 def _covering_subsets(i: int, j: int) -> np.ndarray:
     """The (i+j-1)-edge subsets of K_{i,j} that cover every vertex, as
     ij-bit masks: edge a*j + b, between left a and right b, is bit a*j + b,
-    so row a of a mask lists left a's right neighbours."""
-    subsets = _masks_with_popcount(i * j, i + j - 1)
-    edge_bits = (1 << np.arange(i * j)).reshape(i, j)
-    for vertex in edge_bits.sum(axis=1).tolist() + edge_bits.sum(axis=0).tolist():
-        subsets = subsets[(subsets & vertex) != 0]
+    so row a of a mask lists left a's right neighbours.
+
+    Only covering candidates are built. Each vertex of the longer side picks
+    a non-empty set of neighbours on the shorter side, one vertex after
+    another; partial masks are grouped by popcount, and a group is dropped
+    once the vertices still to pick can no longer bring it to i+j-1 edges.
+    The shorter side's coverage is tested on the finished masks."""
+    edges = i + j - 1
+    bits = (1 << np.arange(i * j, dtype=np.int32)).reshape(i, j)
+    # row v: the edge bits of longer-side vertex v, one per shorter-side vertex
+    longer = bits if i >= j else bits.T
+    size, short = longer.shape
+    choice = (np.arange(1, 1 << short)[:, None] >> np.arange(short)).astype(np.int32) & 1
+    popcounts = choice.sum(axis=1)
+    partial = {0: np.zeros(1, dtype=np.int32)}
+    for v, row in enumerate(longer):
+        picks = choice @ row  # distinct bits, so the sum is the OR
+        after = size - v - 1  # vertices still to pick, at least one edge each
+        grown: dict[int, list[np.ndarray]] = {}
+        for count, masks in partial.items():
+            for p in range(1, short + 1):
+                if count + p + after <= edges <= count + p + after * short:
+                    grown.setdefault(count + p, []).append(
+                        (masks[:, None] | picks[popcounts == p]).ravel()
+                    )
+        partial = {count: np.concatenate(parts) for count, parts in grown.items()}
+    subsets = partial[edges]
+    for column in longer.sum(axis=0).tolist():
+        subsets = subsets[(subsets & column) != 0]
     return subsets
 
 
@@ -181,13 +186,13 @@ def _spanning_tree_verdicts(i: int, j: int, subsets: np.ndarray) -> np.ndarray:
 
 def enumerate_bipartite_trees(i: int, j: int) -> int:
     """Exact count of labeled spanning trees of the complete bipartite graph
-    on (i, j) vertices, by testing every (i+j-1)-edge subset for
+    on (i, j) vertices, by testing every covering (i+j-1)-edge subset for
     connectivity. Capped at i*j <= 20.
 
-    The subsets are the ij-bit masks with i+j-1 bits set. A spanning tree
-    covers every vertex, so the subsets that miss a row or a column of the
-    mask are dropped, and each of the rest is judged on its own mask by a
-    reachability closure from left vertex 0.
+    A spanning tree covers every vertex, so the candidates are the ij-bit
+    masks with i+j-1 bits set and a bit in every row and column, built
+    without the others; each is judged on its own mask by a reachability
+    closure from left vertex 0.
     """
     if i < 1 or j < 1:
         raise SizeError("need i, j >= 1")

@@ -89,6 +89,26 @@ def test_pmf_matches_table():
     assert np.allclose(table, pmf(p, np.arange(1, 41)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("rate", [800.0, 2000.0])
+def test_pmf_table_where_e_to_the_minus_rate_is_not_a_normal_double(rate):
+    # the recurrence would start at e^-rate, below the smallest normal
+    # double here; the table is the log-space pmf, and it sums to 1
+    p = TruncatedPoissonParams.from_rate(rate)
+    table = pmf_table(p)
+    k = np.arange(1, table.size + 1)
+    assert np.array_equal(table, pmf(p, k))
+    assert abs(table.sum() - 1.0) <= 1e-10
+    assert abs((k * table).sum() - p.mean) <= 1e-9 * p.mean
+    assert np.array_equal(pmf_table(p, kmax=900), pmf(p, np.arange(1, 901)))
+
+
+def test_pmf_table_recurrence_agrees_with_the_log_space_pmf_up_to_the_switch():
+    p = TruncatedPoissonParams.from_rate(708.0)
+    table = pmf_table(p)
+    assert abs(table.sum() - 1.0) <= 1e-10
+    assert np.allclose(table, pmf(p, np.arange(1, table.size + 1)), rtol=1e-9, atol=1e-300)
+
+
 def test_size_biased_point_value():
     p = TruncatedPoissonParams.from_rate(1.5)
     assert size_biased_pmf(p, 0) == pytest.approx(math.exp(-1.5), rel=1e-14)
@@ -188,6 +208,48 @@ def test_largest_uniform_stays_inside_the_inverse_cdf_table(rate):
     assert np.array_equal(table[:-1], full[: first_final - 1])
     u = np.array([0.0, full[0], np.nextafter(1.0, 0.0)])
     assert distributions._inverse_cdf(rate, u).tolist() == [1, 2, first_final]
+
+
+def _lookup_points(cdf):
+    # every bucket edge b/4096, each CDF entry with its neighbouring doubles
+    # on both sides, and the extremes of random(): 0 and 1 - 2^-53
+    edges = np.arange(distributions._GUIDE_BUCKETS) / distributions._GUIDE_BUCKETS
+    near = np.concatenate([np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 2.0)])
+    return np.concatenate([edges, near[near < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+
+
+@pytest.mark.parametrize("rate", _fixture_rates() + [0.1, 1.5, 30.0])
+def test_guide_lookup_matches_binary_search(rate):
+    cdf = distributions._sampler_cdf(rate)
+    guide = distributions._sampler_guide(rate)
+    points = _lookup_points(cdf)
+    expected = np.searchsorted(cdf, points, side="right") + 1
+    # below the crossover _inverse_cdf searches; the guide must agree there too
+    for piece in np.array_split(np.arange(points.size), 8):
+        assert piece.size < distributions._GUIDE_MIN_VALUES
+        assert np.array_equal(distributions._inverse_cdf(rate, points[piece]), expected[piece])
+        assert np.array_equal(
+            distributions._guided_lookup(cdf, guide, points[piece]), expected[piece]
+        )
+    # above it, in several lookup slices and as a block of stream rows
+    assert points.size >= distributions._GUIDE_MIN_VALUES
+    assert np.array_equal(distributions._inverse_cdf(rate, points), expected)
+    order = make_stream(5).permutation(np.tile(np.arange(points.size), 16))
+    assert order.size > 2 * distributions._GUIDE_SLICE
+    rows = points[order].reshape(16, -1)
+    assert np.array_equal(distributions._inverse_cdf(rate, rows), expected[order].reshape(16, -1))
+
+
+def test_guide_table_marks_exactly_the_buckets_with_an_entry_inside():
+    # entries on bucket edges (1/4096, 1/4, 4095/4096) leave their buckets
+    # unmarked; two entries inside bucket 2048 and one in bucket 1024 mark them
+    cdf = np.array([1, 1024, 1024.5, 2048.25, 2048.75, 4095, 4096]) / 4096
+    guide = distributions._guide_from_cdf(cdf)
+    assert np.flatnonzero(guide == 0).tolist() == [1024, 2048]
+    assert guide[[0, 1, 1023, 1025, 2049, 4094, 4095]].tolist() == [1, 2, 2, 4, 6, 6, 7]
+    points = _lookup_points(cdf)
+    expected = np.searchsorted(cdf, points, side="right") + 1
+    assert np.array_equal(distributions._guided_lookup(cdf, guide, points), expected)
 
 
 def test_sample_poisson_validation(rng):

@@ -99,6 +99,50 @@ def test_enumerate_trees_matches_bfs_brute_force(i, j):
     assert enumerate_bipartite_trees(i, j) == expected
 
 
+def _masks_with_popcount(bits: int, k: int) -> np.ndarray:
+    """Every ``bits``-bit mask with exactly k bits set, as int32 (bits <= 20).
+
+    The mask splits into a low and a high half. Each half's popcounts come
+    from a table of at most 2^10 entries, and the high halves with c bits
+    set pair with every low half with k - c bits set."""
+    low = bits // 2
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(bits - low):
+        popcount = np.concatenate([popcount, popcount + 1])
+    low_count = popcount[: 1 << low]
+    parts = []
+    for c in range(max(k - low, 0), min(k, bits - low) + 1):
+        highs = np.flatnonzero(popcount == c).astype(np.int32) << low
+        lows = np.flatnonzero(low_count == k - c).astype(np.int32)
+        parts.append((highs[:, None] | lows).ravel())
+    return np.concatenate(parts)
+
+
+def _reference_covering_subsets(i: int, j: int) -> np.ndarray:
+    """All ij-bit masks with i+j-1 bits set, filtered to those with a bit
+    in every row and every column."""
+    subsets = _masks_with_popcount(i * j, i + j - 1)
+    edge_bits = (1 << np.arange(i * j)).reshape(i, j)
+    for vertex in edge_bits.sum(axis=1).tolist() + edge_bits.sum(axis=0).tolist():
+        subsets = subsets[(subsets & vertex) != 0]
+    return subsets
+
+
+def test_masks_with_popcount_reference():
+    masks = _masks_with_popcount(6, 3)
+    assert sorted(masks.tolist()) == sorted(sum(1 << b for b in c) for c in combinations(range(6), 3))
+
+
+@pytest.mark.parametrize(
+    "i,j", [(i, j) for i in range(1, 21) for j in range(1, 21) if i * j <= 20]
+)
+def test_covering_subsets_are_exactly_the_covering_masks(i, j):
+    built = _covering_subsets(i, j)
+    assert built.dtype == np.int32
+    assert np.unique(built).size == built.size
+    assert np.array_equal(np.sort(built), np.sort(_reference_covering_subsets(i, j)))
+
+
 @pytest.mark.parametrize(
     "i,j", [(3, 3), (4, 4), (2, 5), (4, 5), (5, 4), (2, 10), (1, 20), (20, 1)]
 )
