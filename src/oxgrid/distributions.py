@@ -157,8 +157,10 @@ def _lgamma_arr(x: np.ndarray) -> np.ndarray:
 def pmf_table(params: TruncatedPoissonParams, kmax: int | None = None) -> np.ndarray:
     """Probabilities for k = 1..K as a vector (index 0 holds P(Y=1)).
 
-    With kmax=None the table extends until the tail mass is below float
-    resolution, so cumulative sums reach 1 up to rounding. The recurrence
+    With kmax=None the table stops before the first term past the mode that
+    no longer changes the running sum, or once the tail mass is below 1e-17,
+    so cumulative sums reach 1 up to rounding and every entry of the
+    cumulative sum exceeds the one before it. The recurrence
     p_k = p_(k-1) * rate / k starts at e^-rate; above rate ~ 708 that is no
     longer a normal double, and the table comes from the log-space
     :func:`pmf` instead.
@@ -167,9 +169,14 @@ def pmf_table(params: TruncatedPoissonParams, kmax: int | None = None) -> np.nda
     hard_cap = int(rate + 60 + 40 * math.sqrt(rate)) if kmax is None else kmax
     if math.exp(-rate) < sys.float_info.min:
         probs = pmf(params, np.arange(1, hard_cap + 1))
-        resolved = np.flatnonzero(1.0 - np.cumsum(probs) < 1e-17)
-        if kmax is None and resolved.size:
-            probs = probs[: resolved[0] + 1]
+        if kmax is None:
+            cum = np.cumsum(probs)[:-1]
+            # the same two stops; the leading terms underflow to 0, so only
+            # a positive sum can stall
+            stalled = (cum == cum + probs[1:]) & (cum > 0.0)
+            last = np.flatnonzero(stalled | (1.0 - cum < 1e-17))
+            if last.size:
+                probs = probs[: last[0] + 1]
         return probs
     norm = -math.expm1(-rate)
     probs = []
@@ -177,6 +184,8 @@ def pmf_table(params: TruncatedPoissonParams, kmax: int | None = None) -> np.nda
     cum = 0.0
     k = 1
     while k <= hard_cap:
+        if kmax is None and cum + p == cum:
+            break
         probs.append(p)
         cum += p
         if kmax is None and 1.0 - cum < 1e-17:
@@ -193,12 +202,10 @@ _INVERSE_CDF_MAX_RATE = 30.0
 
 @lru_cache(maxsize=128)
 def _sampler_cdf(rate: float) -> np.ndarray:
-    """P(Y <= k) for k = 1, 2, ..., cut at the first entry that reaches the
-    sum's final value; that entry, whose k takes the float-unresolvable
-    tail, is set to 1. The table is cached and shared, so it is read-only."""
-    params = TruncatedPoissonParams.from_rate(rate)
-    cdf = np.cumsum(pmf_table(params))
-    cdf = cdf[: int(np.argmax(cdf == cdf[-1])) + 1]
+    """P(Y <= k) for k = 1, 2, ... over :func:`pmf_table`, whose last k
+    takes the float-unresolvable tail: its entry is set to 1. The table is
+    cached and shared, so it is read-only."""
+    cdf = np.cumsum(pmf_table(TruncatedPoissonParams.from_rate(rate)))
     cdf[-1] = 1.0
     cdf.setflags(write=False)
     return cdf

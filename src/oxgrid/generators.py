@@ -7,16 +7,11 @@
 * ``tp``  — configuration model: truncated-Poisson degree vectors
             conditioned to sum to t on each side, stubs paired by a
             uniform permutation. Distribution-identical to ``gr1`` and
-            the fast path at scale. The conditioning is exact
-            probabilistic divide-and-conquer: a long vector keeps a drawn
-            first half with probability proportional to the chance that
-            the rest sums to what is left, then conditions the rest in the
-            same way; vectors of at most ``_LEAF`` coordinates are drawn
-            whole until their sum hits. ``sample_tp_edges`` samples one
-            graph per stream for many streams at once: each stream makes
-            exactly the draws ``sample_tp`` makes on it, and short sides run
-            the streams in lock-step so that numpy's fixed cost per call is
-            paid once per batch rather than once per stream.
+            the fast path at scale. One construction serves
+            ``sample_tp``, ``sample_tp_edges`` (one graph per stream for
+            many streams, which run in lock-step on short sides) and
+            ``tp_multiset_counts`` (many graphs on one stream); its exact
+            degree conditioning is described at ``_condition``.
 * ``er``  — independent edges with probability p on an M x N grid.
 
 All generators are pure functions of their arguments and an explicit rng
@@ -25,7 +20,6 @@ stream; identical seeds reproduce identical graphs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,50 +53,42 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 10**6
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which generator to run, with its parameters and seed."""
+def _check_sides(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise InputError("m and n must be >= 1")
 
-    kind: str  # "gr" | "gr1" | "tp" | "er"
-    m: int
-    n: int
-    t: int | None = None
-    p: float | None = None
-    seed: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("gr", "gr1", "tp", "er"):
-            raise InputError(f"unknown model kind {self.kind!r}")
-        if self.m < 1 or self.n < 1:
-            raise InputError("m and n must be >= 1")
-        if self.kind == "er":
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise InputError("er requires edge probability p in [0, 1]")
-        else:
-            if self.t is None or self.t < 0:
-                raise InputError(f"{self.kind} requires an edge count t >= 0")
-            if self.kind in ("gr1", "tp") and self.t < max(self.m, self.n):
-                raise InputError(
-                    f"{self.kind} requires t >= max(m, n) so every vertex can reach degree 1"
-                )
+def _check_gr(m: int, n: int, t: int | None) -> None:
+    """The precondition of ``gr``: two non-empty sides and t >= 0 edges."""
+    _check_sides(m, n)
+    if t is None or t < 0:
+        raise InputError(f"t must be an edge count >= 0, got {t}")
 
-    def sample(self, rng: np.random.Generator | None = None) -> BipartiteMultigraph:
-        rng = make_stream(self.seed) if rng is None else rng
-        if self.kind == "gr":
-            return sample_gr(self.m, self.n, self.t, rng)
-        if self.kind == "gr1":
-            return sample_gr1(self.m, self.n, self.t, rng)
-        if self.kind == "tp":
-            return sample_tp(self.m, self.n, self.t, rng)
-        return sample_er(self.m, self.n, self.p, rng)
+
+def _check_min_degree(m: int, n: int, t: int | None) -> None:
+    """The precondition of ``gr1`` and ``tp``: t >= max(m, n), so every
+    vertex can reach degree 1."""
+    _check_gr(m, n, t)
+    if t < max(m, n):
+        raise InputError(
+            f"minimum degree 1 requires t >= max(m, n): t={t} < max(m, n)={max(m, n)}, "
+            "so some vertex must stay isolated"
+        )
+
+
+def _check_er(m: int, n: int, p: float | None) -> None:
+    """The precondition of ``er``: an edge probability in [0, 1] on a grid
+    the dense sampler can hold."""
+    _check_sides(m, n)
+    if p is None or not 0.0 <= p <= 1.0:  # NaN fails the comparison
+        raise InputError(f"er requires an edge probability p in [0, 1], got {p}")
+    if m * n > 1 << 28:
+        raise InputError("grid too large for the dense independent-edge sampler")
 
 
 def sample_gr(m: int, n: int, t: int, rng: np.random.Generator) -> BipartiteMultigraph:
     """t independent uniform draws from the m*n edge slots, in draw order."""
-    if m < 1 or n < 1:
-        raise InputError("m and n must be >= 1")
-    if t < 0:
-        raise InputError("t must be >= 0")
+    _check_gr(m, n, t)
     codes = rng.integers(0, m * n, size=t)
     edges = np.column_stack((codes // n, codes % n))
     return BipartiteMultigraph(m, n, edges)
@@ -120,10 +106,7 @@ def sample_gr1(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> BipartiteMultigraph:
     """Uniform sample with minimum degree 1: redraw gr until no vertex is isolated."""
-    if t < max(m, n):
-        raise InputError(
-            f"t={t} < max(m, n)={max(m, n)}: some vertex must stay isolated"
-        )
+    _check_min_degree(m, n, t)
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
     for _ in range(max_attempts):
@@ -191,46 +174,28 @@ def _rate(mean: float) -> TruncatedPoissonParams:
 
 
 class _Budget:
-    """Candidate vectors drawn by one conditioning call on each of its
-    streams, how many of them were accepted and how many their acceptance
-    probabilities predicted, one entry per stream; a stream's limit is
-    checked before each of its batches."""
+    """The candidate vectors one conditioning call has drawn on one stream,
+    how many of them it accepted and how many their acceptance
+    probabilities predicted; the limit is checked before each batch."""
 
-    def __init__(self, count: int, total: int, limit: int, streams: int = 1):
+    def __init__(self, count: int, total: int, limit: int):
         if limit < 1:
             raise InputError(f"max_attempts must be >= 1, got {limit}")
         self.count, self.total, self.limit = count, total, limit
-        self.drawn = np.zeros(streams, dtype=np.int64)
-        self.accepted = np.zeros(streams, dtype=np.int64)
-        self.expected = np.zeros(streams)
+        self.drawn = self.accepted = 0
+        self.expected = 0.0
 
-    def stream(self, s: int) -> "_Budget":
-        """Stream ``s`` alone, as a one-stream budget that shares its entries."""
-        view = copy.copy(self)
-        view.drawn, view.accepted, view.expected = (
-            entries[s : s + 1] for entries in (self.drawn, self.accepted, self.expected)
-        )
-        return view
-
-    def spend(self, streams, candidates: int, expected_accepted: float) -> None:
-        """Charge a batch to each of ``streams`` (an index or index array),
-        unless one of them has reached the limit."""
-        drawn = self.drawn[streams]
-        exhausted = drawn >= self.limit
-        # one stream's index gives a scalar, an index array an array
-        if np.count_nonzero(exhausted) if isinstance(exhausted, np.ndarray) else exhausted:
-            first = np.zeros(self.drawn.size, dtype=bool)
-            first[streams] = exhausted
-            s = first.argmax()
-            drawn, accepted, expected = self.drawn[s], self.accepted[s], self.expected[s]
+    def spend(self, candidates: int, expected: float) -> None:
+        """Charge a batch of ``candidates``, unless the limit is reached."""
+        if self.drawn >= self.limit:
             raise AttemptsExhausted(
                 f"degree-sum conditioning stopped at its budget of {self.limit} "
                 f"candidate vectors (count={self.count}, total={self.total}): "
-                f"attempts={drawn}, accepted={accepted}, observed acceptance "
-                f"{accepted / drawn:.3g}, predicted {expected / drawn:.3g}"
+                f"attempts={self.drawn}, accepted={self.accepted}, observed acceptance "
+                f"{self.accepted / self.drawn:.3g}, predicted {self.expected / self.drawn:.3g}"
             )
-        self.drawn[streams] = drawn + candidates
-        self.expected[streams] = self.expected[streams] + expected_accepted
+        self.drawn += candidates
+        self.expected += expected
 
 
 def _accepted_prefixes(
@@ -250,11 +215,11 @@ def _accepted_prefixes(
     open_rows = np.arange(targets.size)
     offsets = targets - first  # each open row's target as an index into law
     while open_rows.size:
-        budget.spend(0, open_rows.size, float(predicted.sum()))
+        budget.spend(open_rows.size, float(predicted.sum()))
         draws = sample_truncated(params, rng, open_rows.size * h).reshape(-1, h)
         keep = rng.random(open_rows.size) < law.take(offsets - draws.sum(axis=1), mode="clip")
         out[open_rows[keep]] = draws[keep]
-        budget.accepted[0] += np.count_nonzero(keep)
+        budget.accepted += int(np.count_nonzero(keep))
         redraw = ~keep
         open_rows, offsets, predicted = open_rows[redraw], offsets[redraw], predicted[redraw]
     return out
@@ -277,7 +242,7 @@ def _leaf_vectors(
     target: int,
     vectors: int,
     rngs: Sequence[np.random.Generator],
-    budget: _Budget,
+    budgets: Sequence[_Budget],
 ) -> np.ndarray:
     """``vectors`` vectors of ``count`` iid draws from each stream, each
     summing to ``target``, shape (len(rngs), vectors, count), by whole-vector
@@ -285,7 +250,8 @@ def _leaf_vectors(
     rows in draw order, until it has ``vectors`` of them.
 
     The streams run in lock-step, but each draws exactly what it would draw
-    alone and spends its own row of ``budget``."""
+    alone and spends its own budget; the open streams are charged in index
+    order, so the first one to run out raises."""
     # local CLT at the mean: P(sum hits target) ~ 1/sqrt(2 pi var count)
     p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
     if vectors == 1:
@@ -302,8 +268,10 @@ def _leaf_vectors(
     fill = np.arange(0, len(rngs) * vectors, vectors)  # each open stream's next row
     end = fill + vectors
     while streams.size:
-        budget.spend(streams, batch, expected)
-        draws = _draws(params, [rngs[s] for s in streams.tolist()], batch * count)
+        open_streams = streams.tolist()
+        for s in open_streams:
+            budgets[s].spend(batch, expected)
+        draws = _draws(params, [rngs[s] for s in open_streams], batch * count)
         draws = draws.reshape(streams.size, batch, count)
         # einsum sums a short last axis several times faster than sum
         hits = np.einsum("ijk->ij", draws) == target
@@ -312,7 +280,8 @@ def _leaf_vectors(
         # a stream keeps its first hits in draw order, up to what it lacks:
         # the hit of rank r among its stream's hits fills row fill + r - 1
         slot = hits.cumsum(axis=1, dtype=np.int32)  # out has far fewer than 2^31 rows
-        budget.accepted[streams] += slot[:, -1]
+        for s, accepted in zip(open_streams, slot[:, -1].tolist()):
+            budgets[s].accepted += accepted
         slot += (fill - 1)[:, None]
         take = np.flatnonzero(hits & (slot < end[:, None]))
         rows[slot.ravel()[take]] = draws.reshape(-1, count)[take]
@@ -332,7 +301,7 @@ def _split(
 ) -> None:
     """Fill the rows of ``out`` with vectors of ``count`` > ``_LEAF``
     coordinates summing to ``total``, one stream; the recursive step of
-    :func:`_conditioned_degrees`."""
+    :func:`_condition`."""
     vectors = out.shape[0]
     rows = np.arange(vectors)  # the rows still conditioned at this rate
     targets = np.full(vectors, total, dtype=np.int64)  # what each has left to sum to
@@ -353,7 +322,7 @@ def _split(
             continue
         for target in np.unique(targets[fresh]):
             group = rows[fresh & (targets == target)]
-            out[group, done:] = _condition(group.size, rest, int(target), [rng], budget)[0]
+            out[group, done:] = _condition(group.size, rest, int(target), [rng], [budget])[0]
         rows, targets, z = rows[~fresh], targets[~fresh], z[~fresh]
 
 
@@ -362,35 +331,13 @@ def _condition(
     count: int,
     total: int,
     rngs: Sequence[np.random.Generator],
-    budget: _Budget,
+    budgets: Sequence[_Budget],
 ) -> np.ndarray:
-    """The body of :func:`_conditioned_degrees` for several streams at once,
-    each with its own row of ``budget``; shape (len(rngs), vectors, count).
-    Short vectors run the streams in lock-step, long ones split stream by
-    stream."""
-    if total == count:
-        return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
-    if count == 1:
-        return np.full((len(rngs), vectors, 1), total, dtype=np.int64)  # forced single vertex
-    params = _rate(total / count)
-    if count <= _LEAF:
-        return _leaf_vectors(params, count, total, vectors, rngs, budget)
-    out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    for s, (rows, rng) in enumerate(zip(out, rngs)):
-        _split(params, count, total, rng, budget.stream(s), rows)
-    return out
-
-
-def _conditioned_degrees(
-    vectors: int,
-    count: int,
-    total: int,
-    rng: np.random.Generator,
-    max_attempts: int,
-) -> np.ndarray:
-    """``vectors`` independent vectors of ``count`` iid truncated-Poisson
-    degrees with mean total/count, each conditioned on summing to ``total``;
-    shape (vectors, count).
+    """``vectors`` independent vectors per stream of ``count`` iid
+    truncated-Poisson degrees with mean total/count, each conditioned on
+    summing to ``total``; shape (len(rngs), vectors, count). Stream ``s``
+    charges its candidate vectors (prefixes and whole leaves) to
+    ``budgets[s]``.
 
     Probabilistic divide-and-conquer (Arratia & DeSalvo, Combin. Probab.
     Comput. 25(3), 2016). A vector longer than ``_LEAF`` draws its first
@@ -404,18 +351,58 @@ def _conditioned_degrees(
     at most ``_LEAF`` coordinates are drawn whole until their sum hits the
     total, rows with equal totals together. Every step is exact, so the
     vectors follow the conditional law up to float rounding in the tables.
-    ``max_attempts`` bounds the candidate vectors (prefixes and whole
-    leaves) over the whole call.
+    Short vectors run the streams in lock-step, long ones split stream by
+    stream.
     """
-    return _condition(vectors, count, total, [rng], _Budget(count, total, max_attempts))[0]
+    if total == count:
+        return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
+    if count == 1:
+        return np.full((len(rngs), vectors, 1), total, dtype=np.int64)  # forced single vertex
+    params = _rate(total / count)
+    if count <= _LEAF:
+        return _leaf_vectors(params, count, total, vectors, rngs, budgets)
+    out = np.empty((len(rngs), vectors, count), dtype=np.int64)
+    for rows, rng, budget in zip(out, rngs, budgets):
+        _split(params, count, total, rng, budget, rows)
+    return out
 
 
 def _stubs(degrees: np.ndarray) -> np.ndarray:
-    """Stub owners of each row of a (rows, count) degree array whose rows
-    share one sum t: vertex v repeated degree-of-v times, shape (rows, t)."""
-    rows, count = degrees.shape
-    owners = np.arange(rows * count, dtype=np.int64) % count
-    return np.repeat(owners, degrees.ravel()).reshape(rows, -1)
+    """Stub owners of each row of a (..., count) degree array whose rows
+    share one sum t: vertex v repeated degree-of-v times, shape (..., t)."""
+    count = degrees.shape[-1]
+    owners = np.arange(degrees.size, dtype=np.int64) % count
+    return np.repeat(owners, degrees.ravel()).reshape(*degrees.shape[:-1], -1)
+
+
+def _paired_stubs(
+    m: int,
+    n: int,
+    t: int,
+    vectors: int,
+    rngs: Sequence[np.random.Generator],
+    max_attempts: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``vectors`` tp graphs per stream as stub owners ``(left, right)``,
+    each of shape (len(rngs), vectors, t): edge k of a graph joins
+    ``left[..., k]`` and ``right[..., k]``.
+
+    Each stream conditions its left degree vectors, then its right ones
+    (:func:`_condition`, a budget of ``max_attempts`` candidate vectors per
+    side), then shuffles each of its graphs' right stubs in turn, which
+    draws what ``permutation(t)`` draws for each.
+    """
+    _check_min_degree(m, n, t)
+    # every stream draws its left side before its right, and both sides are
+    # conditioned before any stubs are laid out, which keeps the peak small
+    left, right = [
+        _condition(vectors, count, t, rngs, [_Budget(count, t, max_attempts) for _ in rngs])
+        for count in (m, n)
+    ]
+    left, right = _stubs(left), _stubs(right)
+    for rows, rng in zip(right, rngs):
+        rng.permuted(rows, axis=1, out=rows)
+    return left, right
 
 
 def sample_tp_edges(
@@ -428,30 +415,15 @@ def sample_tp_edges(
     """The edges of one :func:`sample_tp` graph per stream, shape
     (len(rngs), t, 2): row r is exactly ``sample_tp(m, n, t, rngs[r]).edges``.
 
-    Every stream makes the calls that :func:`sample_tp` makes on it: left
-    degrees, right degrees, then one shuffle of its t right stubs, which
-    draws what ``permutation(t)`` draws. Short sides run the streams in
-    lock-step, so a batch of candidates costs one inverse-CDF lookup for all
-    of them; sides longer than ``_LEAF`` are conditioned stream by stream.
-    Each stream has its own budget of ``max_attempts`` candidate vectors per
-    side, one row of a budget shared by the block.
+    The one-graph-per-stream case of :func:`_paired_stubs`: every stream
+    makes the draws that :func:`sample_tp` makes on it, with its own budget
+    of ``max_attempts`` candidate vectors per side, and short sides run the
+    streams in lock-step, so a batch of candidates costs one inverse-CDF
+    lookup for all of them.
     """
-    if m < 1 or n < 1:
-        raise InputError("m and n must be >= 1")
-    if t < max(m, n):
-        raise InputError(
-            f"t={t} < max(m, n)={max(m, n)}: some vertex must stay isolated"
-        )
-    degrees = [
-        _condition(1, count, t, rngs, _Budget(count, t, max_attempts, len(rngs)))[:, 0]
-        for count in (m, n)  # every stream draws its left side before its right
-    ]
+    left, right = _paired_stubs(m, n, t, 1, rngs, max_attempts)
     edges = np.empty((len(rngs), t, 2), dtype=np.int64)
-    edges[:, :, 0] = _stubs(degrees[0])
-    right = _stubs(degrees[1])
-    for row, rng in zip(right, rngs):
-        rng.shuffle(row)  # the swaps that permutation(t) makes on arange(t)
-    edges[:, :, 1] = right
+    edges[:, :, 0], edges[:, :, 1] = left[:, 0], right[:, 0]
     return edges
 
 
@@ -465,14 +437,10 @@ def sample_tp(
     """Truncated-Poisson configuration model.
 
     Left degrees are iid truncated Poisson with mean t/m conditioned to sum
-    to t, right degrees likewise with mean t/n; vertex stubs are then paired
-    by a single uniform permutation and collapsed. Each side is conditioned
-    by :func:`_conditioned_degrees`: sides longer than ``_LEAF`` are split
-    in half, the first half drawn iid and kept with probability proportional
-    to the chance that the second sums to what is left, recursively; shorter
-    ones are redrawn whole until their sum is t. ``max_attempts`` bounds the
-    candidate vectors drawn per side. The one-stream case of
-    :func:`sample_tp_edges`.
+    to t, right degrees likewise with mean t/n (the algorithm is described
+    at :func:`_condition`); vertex stubs are then paired by a single uniform
+    permutation and collapsed. ``max_attempts`` bounds the candidate vectors
+    drawn per side. The one-stream case of :func:`sample_tp_edges`.
     """
     return BipartiteMultigraph(m, n, sample_tp_edges(m, n, t, [rng], max_attempts)[0])
 
@@ -482,15 +450,43 @@ def sample_er(
 ) -> BipartiteMultigraph:
     """Each of the m*n possible edges present independently with probability p
     (simple graph, row-major edge order)."""
-    if m < 1 or n < 1:
-        raise InputError("m and n must be >= 1")
-    if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-        raise InputError(f"edge probability must lie in [0, 1], got {p}")
-    if m * n > 1 << 28:
-        raise InputError("grid too large for the dense independent-edge sampler")
+    _check_er(m, n, p)
     mask = rng.random((m, n)) < p
     edges = np.argwhere(mask)
     return BipartiteMultigraph(m, n, edges)
+
+
+# each model's sampler, its precondition and the ModelSpec field that holds
+# its third parameter
+_MODELS = {
+    "gr": (sample_gr, _check_gr, "t"),
+    "gr1": (sample_gr1, _check_min_degree, "t"),
+    "tp": (sample_tp, _check_min_degree, "t"),
+    "er": (sample_er, _check_er, "p"),
+}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Which generator to run, with its parameters and seed."""
+
+    kind: str  # "gr" | "gr1" | "tp" | "er"
+    m: int
+    n: int
+    t: int | None = None
+    p: float | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in _MODELS:
+            raise InputError(f"unknown model kind {self.kind!r}")
+        _, check, field = _MODELS[self.kind]
+        check(self.m, self.n, getattr(self, field))
+
+    def sample(self, rng: np.random.Generator | None = None) -> BipartiteMultigraph:
+        sampler, _, field = _MODELS[self.kind]
+        rng = make_stream(self.seed) if rng is None else rng
+        return sampler(self.m, self.n, getattr(self, field), rng)
 
 
 def er_params_for(m: int, n: int, t: int) -> tuple[int, int, float]:
@@ -501,7 +497,8 @@ def er_params_for(m: int, n: int, t: int) -> tuple[int, int, float]:
     p = rate_left*rate_right/t. Rounding to integers is an approximation the
     continuous correspondence does not need; minimum 1 per side.
     """
-    if t < max(m, n) or t / m <= 1.0 or t / n <= 1.0:
+    _check_sides(m, n)
+    if t <= max(m, n):
         raise InputError("requires t/m > 1 and t/n > 1")
     a = solve_rate(t / m).rate
     b = solve_rate(t / n).rate
@@ -557,23 +554,21 @@ def tp_multiset_counts(
 ) -> dict[tuple[int, ...], int]:
     """Empirical distribution of the tp model over canonical edge multisets.
 
-    Vectorizes the same construction as :func:`sample_tp` across all samples:
-    conditioned degree vectors (one :func:`_conditioned_degrees` call per
-    side, each row splitting and conditioning on its own remaining total),
-    stub expansion, per-row uniform pairing. Keys are sorted tuples of edge
-    codes left*n + right. ``max_attempts`` bounds the candidate vectors per
-    side; by default it is DEFAULT_MAX_ATTEMPTS per sample.
+    The one-stream, ``samples``-graph case of the construction behind
+    :func:`sample_tp` (:func:`_paired_stubs`; the conditioning is described
+    at :func:`_condition`). Keys are sorted tuples of edge codes
+    left*n + right. ``max_attempts`` bounds the candidate vectors per side;
+    by default it is DEFAULT_MAX_ATTEMPTS per sample.
     """
-    if t < max(m, n):
-        raise InputError("t must be >= max(m, n)")
     if samples < 1:
         raise InputError("samples must be >= 1")
     if max_attempts is None:
         max_attempts = DEFAULT_MAX_ATTEMPTS * samples
-    left = _conditioned_degrees(samples, m, t, rng, max_attempts)
-    right = _conditioned_degrees(samples, n, t, rng, max_attempts)
-    paired = rng.permuted(_stubs(right), axis=1)
-    return _multiset_counts_from_codes(_stubs(left) * n + paired)
+    left, right = _paired_stubs(m, n, t, samples, [rng], max_attempts)
+    codes = left[0]
+    codes *= n
+    codes += right[0]
+    return _multiset_counts_from_codes(codes)
 
 
 def gr_multiset_counts(

@@ -563,7 +563,14 @@ def sweep_count_ratio(
     """Per (m, n, t): exact and asymptotic log counts and their ratio; with
     mc_reps > 0 also the conditioned distinct-edge probability against its
     analytic bracket, each point's replicates on master seed seed + its
-    index, as :func:`estimate_distinct_probability` would draw them."""
+    index, as :func:`estimate_distinct_probability` would draw them. Raises
+    InputError for mc_reps < 0, seed < 0 or threads < 1."""
+    if mc_reps < 0:
+        raise InputError(f"mc_reps must be >= 0, got {mc_reps}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     rows = []
     for m, n, t in grid:
         exact = theory.count_exact_log(m, n, t)

@@ -6,7 +6,7 @@ derive one stream per task with :func:`split_stream` or
 :func:`split_streams` rather than sharing.
 
 The split function is fixed so results are bit-reproducible across runs
-and thread counts: stream ``i`` of master seed ``s`` is
+and worker counts: stream ``i`` of master seed ``s`` is
 ``PCG64(SeedSequence(s, spawn_key=(i,)))``. Seeds and indices are
 non-negative integers; a negative one raises InputError.
 

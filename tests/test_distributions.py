@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -208,6 +209,30 @@ def test_largest_uniform_stays_inside_the_inverse_cdf_table(rate):
     assert np.array_equal(table[:-1], full[: first_final - 1])
     u = np.array([0.0, full[0], np.nextafter(1.0, 0.0)])
     assert distributions._inverse_cdf(rate, u).tolist() == [1, 2, first_final]
+
+
+@pytest.mark.parametrize("rate", _fixture_rates() + [0.1, 1.5, 30.0])
+def test_pmf_table_stops_once_a_term_no_longer_changes_the_sum(rate):
+    # every entry moves the running sum, and the next term would not (or the
+    # tail mass is below 1e-17): far short of the hard cap
+    params = TruncatedPoissonParams.from_rate(rate)
+    table = pmf_table(params)
+    cum = np.cumsum(table)
+    assert table.size <= 85
+    assert (cum[1:] > cum[:-1]).all()
+    following = pmf_table(params, kmax=table.size + 1)[-1]
+    assert cum[-1] + following == cum[-1] or 1.0 - cum[-1] < 1e-17
+
+
+def test_sampler_cdf_is_pinned():
+    # the sha256 of the inverse-CDF tables has not changed since the tables
+    # were cut at the first entry equal to the sum's final value
+    digest = hashlib.sha256()
+    for rate in _fixture_rates() + [0.1, 1.5, 30.0]:
+        digest.update(distributions._sampler_cdf(rate).tobytes())
+    assert digest.hexdigest() == (
+        "a9f27cbafa42baf8574fc5c266b28a6c47ddd6351c5b88ed8d9b5eacd69e4b6d"
+    )
 
 
 def _lookup_points(cdf):

@@ -220,7 +220,8 @@ def test_conditioned_degrees_match_enumerated_law(monkeypatch, leaf, stray, coun
     ]
     weights = np.array([np.prod(pmf(params, np.array(v))) for v in vectors])
     samples = 40_000
-    draws = generators._conditioned_degrees(samples, count, total, make_stream(91), 10**9)
+    budget = generators._Budget(count, total, 10**9)
+    draws = generators._condition(samples, count, total, [make_stream(91)], [budget])[0]
     index = {v: i for i, v in enumerate(vectors)}
     observed = np.bincount([index[tuple(row)] for row in draws.tolist()], minlength=len(vectors))
     assert _chi_square_pvalue(observed, samples * weights / weights.sum()) >= 0.001
@@ -296,7 +297,8 @@ def test_strayed_targets_start_afresh(monkeypatch):
     monkeypatch.setattr(generators, "sample_truncated", spy)
     for i in range(1000):
         draws.clear()
-        generators._conditioned_degrees(1, 2000, 8294, split_stream(96, i), 10**6)
+        budget = generators._Budget(2000, 8294, 10**6)
+        generators._condition(1, 2000, 8294, [split_stream(96, i)], [budget])
         runs = [len(list(run)) for _, run in itertools.groupby(draws)]
         assert max(runs) <= 150
 
@@ -382,13 +384,13 @@ def test_tp_edges_budget_failure_is_informative():
 
 
 # (vectors, count, total): short sides at a few rates, and one longer than
-# _LEAF, which conditions stream by stream on a view of the block's budget
+# _LEAF, which conditions stream by stream, each on its own budget
 CONDITION_SIZES = [(5, 22, 44), (40, 3, 7), (12, 30, 60), (3, 70, 150)]
 
 
 def _condition_alone(vectors, count, total, seed, i, max_attempts):
     budget = generators._Budget(count, total, max_attempts)
-    return generators._condition(vectors, count, total, [split_stream(seed, i)], budget)[0]
+    return generators._condition(vectors, count, total, [split_stream(seed, i)], [budget])[0]
 
 
 @pytest.mark.parametrize("vectors,count,total", CONDITION_SIZES)
@@ -397,8 +399,8 @@ def test_lock_step_rows_match_one_stream_calls(vectors, count, total):
     # order, exactly as when it runs alone
     streams = 12
     rngs = [split_stream(91, i) for i in range(streams)]
-    budget = generators._Budget(count, total, 10**6, streams)
-    block = generators._condition(vectors, count, total, rngs, budget)
+    budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
+    block = generators._condition(vectors, count, total, rngs, budgets)
     assert block.shape == (streams, vectors, count)
     assert (block.sum(axis=2) == total).all() and block.min() >= 1
     for i in range(streams):
@@ -428,9 +430,9 @@ def test_lock_step_budgets_are_per_stream(vectors, count, total):
                 alone.append(str(err))
         failed = [message for message in alone if message is not None]
         rngs = [split_stream(92, i) for i in range(streams)]
-        budget = generators._Budget(count, total, limit, streams)
+        budgets = [generators._Budget(count, total, limit) for _ in rngs]
         try:
-            generators._condition(vectors, count, total, rngs, budget)
+            generators._condition(vectors, count, total, rngs, budgets)
             block = None
         except AttemptsExhausted as err:
             block = str(err)
@@ -440,17 +442,75 @@ def test_lock_step_budgets_are_per_stream(vectors, count, total):
 
 
 def test_budget_reports_the_first_exhausted_stream():
-    budget = generators._Budget(5, 9, 10, streams=3)
-    budget.spend(np.arange(3), 4, 0.5)
-    budget.spend(np.array([1, 2]), 6, 1.5)
-    budget.accepted[:] = [1, 3, 5]
+    # one stream's budget: a batch may overshoot the limit, the next one is
+    # refused with this stream's numbers, and a refused batch charges nothing
+    budget = generators._Budget(5, 9, 10)
+    budget.spend(4, 0.5)
+    budget.spend(6, 1.5)
+    budget.accepted = 3
     with pytest.raises(AttemptsExhausted) as err:
-        budget.spend(np.arange(3), 4, 0.5)
+        budget.spend(4, 0.5)
     assert "attempts=10, accepted=3, observed acceptance 0.3, predicted 0.2" in str(err.value)
-    budget.spend(0, 4, 0.5)  # stream 0 was not charged and is still within its limit
-    assert budget.drawn.tolist() == [8, 10, 10]
-    with pytest.raises(AttemptsExhausted, match="attempts=10, accepted=5,"):
-        budget.stream(2).spend(0, 1, 0.0)
+    assert (budget.drawn, budget.accepted, budget.expected) == (10, 3, 2.0)
+    short = generators._Budget(5, 9, 10)
+    short.spend(8, 0.5)
+    short.spend(4, 0.5)  # still within its limit when charged
+    assert short.drawn == 12
+    with pytest.raises(AttemptsExhausted, match="attempts=12, accepted=0,"):
+        short.spend(1, 0.0)
+
+
+@pytest.mark.parametrize("m,n,t", [(22, 30, 60), (70, 30, 150)])
+def test_tp_edges_budgets_are_per_stream(m, n, t):
+    # a block succeeds with budget B exactly when every stream's sample_tp
+    # succeeds alone with B; otherwise it fails as the first stream that
+    # fails alone on the left side does, or, if none does, on the right
+    streams = 16
+    outcomes = set()
+    for limit in (1, 16, 64, 128, 10**6):
+        failed = []
+        for i in range(streams):
+            try:
+                sample_tp(m, n, t, split_stream(99, i), max_attempts=limit)
+            except AttemptsExhausted as err:
+                side = 0 if f"count={m}," in str(err) else 1
+                failed.append((side, i, str(err)))
+        rngs = [split_stream(99, i) for i in range(streams)]
+        try:
+            generators.sample_tp_edges(m, n, t, rngs, max_attempts=limit)
+            block = None
+        except AttemptsExhausted as err:
+            block = str(err)
+        assert block == (min(failed)[2] if failed else None)
+        outcomes.add("all" if len(failed) == streams else "some" if failed else "none")
+    assert {"none", "some"} <= outcomes
+
+
+@pytest.mark.parametrize("m,n,t", TP_STREAM_SIZES)
+def test_tp_multiset_counts_of_one_sample_match_sample_tp(m, n, t):
+    # the bulk sampler is the one-stream case of the same construction: one
+    # sample on a stream is the multiset of sample_tp's graph on that stream
+    for i in range(8):
+        edges = sample_tp(m, n, t, split_stream(100, i)).edges
+        codes = tuple(sorted((edges[:, 0] * n + edges[:, 1]).tolist()))
+        assert tp_multiset_counts(m, n, t, 1, split_stream(100, i)) == {codes: 1}
+
+
+def test_tp_multiset_counts_are_pinned():
+    # many samples on one stream, at an enumerable size and with a side
+    # longer than _LEAF: the sha256 of the counts has not changed since the
+    # bulk sampler became the many-vector case of sample_tp_edges
+    digests = [
+        hashlib.sha256(repr(list(counts.items())).encode()).hexdigest()
+        for counts in (
+            tp_multiset_counts(2, 3, 4, 20_000, make_stream(2024)),
+            tp_multiset_counts(3, 70, 75, 200, make_stream(2024)),
+        )
+    ]
+    assert digests == [
+        "fe2e79347a6a26f3d6482033473557d81843ff0fcb73bfb4394da5434c702628",
+        "c5893b9107a4d44dc8c18d3a915076d14eddcce1f5a1fea36d2274a0fff856f8",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +532,8 @@ def test_er_params_for_published_instance():
     assert p == pytest.approx(0.0388, abs=2e-4)
     with pytest.raises(InputError):
         er_params_for(5, 5, 5)
+    with pytest.raises(InputError):  # was a ZeroDivisionError
+        er_params_for(0, 5, 10)
 
 
 def test_er_non_isolated_left_mean(rng):

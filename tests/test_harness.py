@@ -165,6 +165,16 @@ def test_sweep_count_ratio_rows():
         assert row["bracket_lo"] < 1.0 == row["bracket_hi"]
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"mc_reps": -1}, {"seed": -1}, {"mc_reps": -2, "seed": 3}, {"threads": 0}]
+)
+def test_sweep_count_ratio_rejects_bad_inputs(kwargs):
+    # a negative mc_reps used to skip the Monte Carlo part, and with
+    # mc_reps == 0 a negative seed was echoed as the rows' master seed
+    with pytest.raises(InputError):
+        sweep_count_ratio([(50, 50, 100)], **kwargs)
+
+
 def test_estimate_distinct_probability_unconditioned_matches_product():
     m = n = 100
     t = 50
