@@ -101,6 +101,12 @@ def test_pmf_table_where_e_to_the_minus_rate_is_not_a_normal_double(rate):
     assert abs(table.sum() - 1.0) <= 1e-10
     assert abs((k * table).sum() - p.mean) <= 1e-9 * p.mean
     assert np.array_equal(pmf_table(p, kmax=900), pmf(p, np.arange(1, 901)))
+    # the leading terms underflow to 0; past them every entry moves the
+    # running sum, and the next term would not
+    cum = np.cumsum(table)
+    assert (np.diff(cum[cum > 0]) > 0).all()
+    following = pmf_table(p, kmax=table.size + 1)[-1]
+    assert cum[-1] + following == cum[-1] or 1.0 - cum[-1] < 1e-17
 
 
 def test_pmf_table_recurrence_agrees_with_the_log_space_pmf_up_to_the_switch():
