@@ -6,7 +6,9 @@ Every experiment takes a master seed; replicate ``i`` always runs on
 per-replicate rows. Rows are plain dicts with stable column names, ready
 for CSV or JSON.
 
-Replicates run in blocks of consecutive indices. With ``threads`` > 1 a
+Replicates run in blocks of consecutive indices: a call caps the block
+size, and each grid point's or dataset's replicates are cut into the
+fewest blocks under the cap, of near-equal size. With ``threads`` > 1 a
 call hands all of its blocks, over every grid point or dataset, to one
 persistent pool of up to ``threads`` worker processes in one map, and
 merges the rows back in index order. The pool is started on the first such
@@ -15,14 +17,19 @@ that hold the interpreter lock, so threads would not overlap them. A call
 that samples fewer than ``_POOL_MIN_EDGES`` edges in all runs in-process,
 as with ``threads=1``: there the pool's per-task cost outweighs the gain.
 
-The sweeps use blocks of one. The tree comparison's replicates are tiny
-graphs whose cost is numpy's fixed cost per call, so it runs blocks of
-``_TREE_BLOCK`` in lock-step: the block's streams draw one batch each, one
-inverse-CDF lookup maps them all, and one labelling of the block's
-disjoint union counts every replicate's trees. Each replicate still draws
-from its own stream exactly what it would draw alone, so its graph does not
-depend on the block size or the worker count; drawing a block from one
-shared stream would tie every replicate's graph to both.
+The giant and connectivity sweeps use blocks of one: at their sizes each
+stream's long sides are conditioned one stream at a time anyway. The tree
+comparison's replicates are tiny graphs whose cost is numpy's fixed cost
+per call, so it runs blocks of up to ``_LOCK_STEP_CAP`` in lock-step: the
+block's streams draw one batch each, one inverse-CDF lookup maps them all,
+and one labelling of the block's disjoint union counts every replicate's
+trees. A round of a block costs about the same whatever its size, so 250
+replicates run as 125 + 125. The conditioned distinct-edge estimates
+sample their blocks the same way and test every replicate's edges for
+repeats with one sort. Each replicate still draws from its own stream
+exactly what it would draw alone, so its graph does not depend on the
+block size or the worker count; drawing a block from one shared stream
+would tie every replicate's graph to both.
 """
 
 from __future__ import annotations
@@ -60,12 +67,16 @@ __all__ = [
 ]
 
 RELATIVE_TOLERANCE = 0.03  # published-vs-recomputed agreement threshold
-# replicates per lock-step block of the tree comparison. On a 2-vCPU VM,
-# blocks of 32 ran the genome fixtures' comparison 3-4 times as fast as
-# single replicates and blocks of 64 only 10-20% faster still, while the
-# peak RSS of 240 comparisons in a row rose 0.8-1.0 MB above single
-# replicates at 32 and 1.6 MB at 64
-_TREE_BLOCK = 32
+# most replicates per lock-step block (tree comparison, conditioned
+# distinct-edge estimates). A round of a block costs about 20 numpy calls
+# however many streams it holds, so a few large blocks beat many small
+# ones. On a 2-vCPU VM shared with other tenants, 250 replicates of each
+# genome fixture took, against blocks of 32, about 25% less CPU time at a
+# cap of 64, 30-45% less at 128 and 40-50% less at 256 (4 alternated rounds
+# of 40 such units in one process), and the process peaked at 38.3, 38.5,
+# 39.0 and 40.1 MB. 128 runs them as 125 + 125 for 0.7 MB above blocks of
+# 32, where 256 costs 1.8 MB
+_LOCK_STEP_CAP = 128
 # sampled edges (the sum of t over a call's replicates) below which a call
 # runs in-process whatever ``threads`` asks. On a 2-vCPU VM shared with other
 # tenants, in seven sets of 16-20 alternated pairs of one-point giant sweeps
@@ -184,6 +195,14 @@ def _executor(workers: int):
     return _pool[1]
 
 
+def _block_bounds(reps: int, cap: int) -> list[int]:
+    """Where the ``ceil(reps / cap)`` blocks of replicates 0..reps-1 start,
+    then ``reps``: block k starts at ``k * reps // blocks``, so sizes differ
+    by at most one and none exceeds ``cap``. ``[0]`` for no replicates."""
+    blocks = -(-reps // cap)
+    return [k * reps // blocks for k in range(blocks)] + [reps]
+
+
 def _run_block(
     job: Callable[[list[np.random.Generator]], list[dict]], seed: int, start: int, stop: int
 ) -> list[dict]:
@@ -205,18 +224,18 @@ def _run_replicates(
 ) -> list[list[dict]]:
     """For each ``(job, seed)`` of ``points``, the rows of its replicates
     0..reps-1 in index order. A job maps the streams of up to ``block``
-    consecutive replicates to one picklable row each, and must itself be
-    picklable: a module-level function or a ``partial`` of one. Replicate i
+    consecutive replicates, as :func:`_block_bounds` cuts them, to one
+    picklable row each, and must itself be picklable: a module-level
+    function or a ``partial`` of one. Replicate i
     of a point runs on ``split_stream(seed, i)`` whatever the block and
     worker counts. ``edges`` is the number of edges the call samples in
     all; with ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` of them,
     every block goes to the process pool in one map."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    bounds = _block_bounds(reps, block)
     tasks = [
-        (job, seed, start, min(start + block, reps))
-        for job, seed in points
-        for start in range(0, reps, block)
+        (job, seed, start, stop) for job, seed in points for start, stop in zip(bounds, bounds[1:])
     ]
     workers = 1
     if threads > 1 and edges >= _POOL_MIN_EDGES:
@@ -231,7 +250,7 @@ def _run_replicates(
         except BrokenProcessPool:
             _close_pool()  # a worker died; the next call starts a new pool
             raise
-    per_point = -(-reps // block)  # blocks per point
+    per_point = len(bounds) - 1  # blocks per point
     return [
         [row for rows in blocks[k * per_point : (k + 1) * per_point] for row in rows]
         for k in range(len(points))
@@ -273,11 +292,12 @@ def run_tree_comparison(
 
     Replicate i of dataset d counts the trees of the graph that
     ``sample_tp(m, n, t, split_stream(seed + d, i))`` returns. The replicates
-    run in lock-step blocks of ``_TREE_BLOCK`` (:func:`sample_tp_edges` and
-    :func:`block_tree_census`), the blocks of all datasets on the process
-    pool when ``threads`` > 1; every stream stays with its replicate, so the
-    report is the same for every ``threads``. Raises InputError for reps < 0,
-    seed < 0 or threads < 1.
+    run in near-equal lock-step blocks of up to ``_LOCK_STEP_CAP``
+    (:func:`sample_tp_edges` and :func:`block_tree_census`), the blocks of
+    all datasets on the process pool when ``threads`` > 1; every stream stays
+    with its replicate, so the report is the same for every ``threads``. With
+    one replicate ``sim_se`` is None, as ``sim_mean`` is with none. Raises
+    InputError for reps < 0, seed < 0 or threads < 1.
     """
     if reps < 0:
         raise InputError(f"reps must be >= 0, got {reps}")
@@ -297,7 +317,7 @@ def run_tree_comparison(
         reps,
         reps * sum(t for _, _, t in sizes),
         threads,
-        block=_TREE_BLOCK,
+        block=_LOCK_STEP_CAP,
     )
     shape_i, shape_j = np.array(shapes).T
     max_i = int(shape_i.max())
@@ -313,6 +333,8 @@ def run_tree_comparison(
         for (i, j), ea in zip(shapes, expected.tolist()):
             key = f"{i},{j}"
             sim_mean, sim_se = _mean_se([r[key] for r in raw]) if raw else (None, None)
+            if reps == 1:
+                sim_se = None  # one value has no standard error, and JSON no NaN
             ea_pub = pub.get("expected_trees", {}).get(key)
             obs_pub = pub.get("observed_trees", {}).get(key)
             obs = int(observed[i, j])
@@ -514,14 +536,15 @@ def aggregate_connectivity_rows(rows: list[dict]) -> list[dict]:
 def _distinct_rows(
     m: int, n: int, t: int, conditioned: bool, rngs: list[np.random.Generator]
 ) -> list[dict]:
-    """Per stream, whether the t edge slots of one sample are distinct."""
-    rows = []
-    for rng in rngs:
-        g = sample_tp(m, n, t, rng) if conditioned else sample_gr(m, n, t, rng)
-        codes = np.sort(g.edges[:, 0] * n + g.edges[:, 1])
-        distinct = bool((np.diff(codes) != 0).all()) if t > 1 else True
-        rows.append({"distinct": int(distinct)})
-    return rows
+    """Per stream, whether the t edge slots of one sample are distinct; the
+    conditioned samples are drawn as one lock-step block."""
+    if conditioned:
+        edges = sample_tp_edges(m, n, t, rngs)
+    else:
+        edges = np.stack([sample_gr(m, n, t, rng).edges for rng in rngs])
+    codes = np.sort(edges[:, :, 0] * n + edges[:, :, 1], axis=1)
+    distinct = (np.diff(codes, axis=1) != 0).all(axis=1)
+    return [{"distinct": d} for d in distinct.astype(int).tolist()]
 
 
 def estimate_distinct_probability(
@@ -539,7 +562,11 @@ def estimate_distinct_probability(
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
     (raw,) = _run_replicates(
-        [(partial(_distinct_rows, m, n, t, conditioned), seed)], reps, reps * t, threads
+        [(partial(_distinct_rows, m, n, t, conditioned), seed)],
+        reps,
+        reps * t,
+        threads,
+        block=_LOCK_STEP_CAP,
     )
     p_hat, se = _proportion(sum(r["distinct"] for r in raw), reps)
     return {
@@ -599,6 +626,7 @@ def sweep_count_ratio(
             mc_reps,
             mc_reps * sum(t for _, _, t in grid),
             threads,
+            block=_LOCK_STEP_CAP,
         )
         for row, raw in zip(rows, sims):
             p_hat, se = _proportion(sum(r["distinct"] for r in raw), mc_reps)

@@ -133,6 +133,21 @@ def test_trees_report_flags_dog(capsys):
     assert datasets == set(fixture_names())
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("reps", ["0", "1", "2"])
+def test_trees_report_is_strict_json(capsys, reps):
+    # the standard error of one replicate used to print as NaN
+    code, text, _ = run_cli(capsys, "trees", "--reps", reps, "--seed", "3")
+    assert code == 0
+    rows = json.loads(text, parse_constant=_no_constant)["rows"]
+    for row in rows:
+        assert (row["sim_mean"] is None) == (reps == "0")
+        assert (row["sim_se"] is None) == (reps != "2")
+
+
 @pytest.mark.parametrize(
     "argv",
     [("--reps", "-5"), ("--threads", "0"), ("--threads", "-2"), ("--reps", "3", "--threads", "0")],

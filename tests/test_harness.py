@@ -6,7 +6,7 @@ import pytest
 
 from oxgrid import harness
 from oxgrid.errors import AttemptsExhausted, InputError
-from oxgrid.generators import sample_tp
+from oxgrid.generators import sample_gr, sample_tp, sample_tp_edges
 from oxgrid.graph import components, tree_census
 from oxgrid.harness import (
     ExperimentConfig,
@@ -20,7 +20,7 @@ from oxgrid.harness import (
     sweep_giant,
 )
 from oxgrid.ingest import fixture_names, load_fixture
-from oxgrid.rng import split_stream
+from oxgrid.rng import split_stream, split_streams
 from oxgrid.theory import expected_trees_exact, extinction_probabilities
 
 # a pool runs only where this process may use two CPUs
@@ -90,10 +90,11 @@ def test_tree_comparison_simulation_matches_exact_expectation():
 
 
 def test_tree_comparison_replicates_run_on_their_own_streams():
-    # 150 replicates end in a partial lock-step block; each must count the
-    # trees of sample_tp on split_stream(seed + dataset, i)
+    # 257 replicates run as lock-step blocks of 85, 86 and 86; each must
+    # count the trees of sample_tp on split_stream(seed + dataset, i)
     datasets = [load_fixture(name) for name in ("human_cat", "human_dog")]
-    reps, seed = 150, 21
+    reps, seed = 257, 21
+    assert harness._block_bounds(reps, harness._LOCK_STEP_CAP) == [0, 85, 171, 257]
     report = run_tree_comparison(datasets, reps=reps, seed=seed)
     rows = {(r["dataset"], r["shape"]): r for r in report["rows"]}
     for ds_index, ds in enumerate(datasets):
@@ -108,6 +109,45 @@ def test_tree_comparison_replicates_run_on_their_own_streams():
             row = rows[(ds.name, f"{i},{j}")]
             assert row["sim_mean"] == counts[:, i, j].mean()
             assert row["sim_se"] == pytest.approx(counts[:, i, j].std(ddof=1) / math.sqrt(reps))
+
+
+@pytest.mark.parametrize(
+    "reps,cap", [(0, 128), (1, 128), (5, 128), (128, 128), (129, 128), (250, 128),
+                 (257, 128), (137, 7), (6, 7), (10, 1), (1, 1), (0, 1)]
+)
+def test_block_bounds_are_near_equal_and_capped(reps, cap):
+    bounds = harness._block_bounds(reps, cap)
+    assert bounds[0] == 0 and bounds[-1] == reps
+    sizes = np.diff(bounds)
+    assert len(sizes) == -(-reps // cap)  # the fewest blocks under the cap
+    assert (sizes >= 1).all() and (sizes <= cap).all()
+    if reps:
+        assert sizes.max() - sizes.min() <= 1
+
+
+def test_tree_comparison_does_not_depend_on_the_block_cap(monkeypatch):
+    # 137 replicates split unevenly at every cap but 1: 20 blocks of 6-7 at
+    # a cap of 7, 68 + 69 at the default
+    datasets = [load_fixture(name) for name in ("human_monkey", "human_lemur")]
+    reports = []
+    for cap in (1, 7, harness._LOCK_STEP_CAP):
+        monkeypatch.setattr(harness, "_LOCK_STEP_CAP", cap)
+        reports.append(run_tree_comparison(datasets, reps=137, seed=17))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_tree_comparison_runs_250_replicates_as_two_blocks(monkeypatch):
+    # the per-round cost of a block is mostly fixed, so 250 replicates must
+    # run as 125 + 125, not as blocks of 32
+    sizes = []
+
+    def counting(m, n, t, rngs):
+        sizes.append(len(rngs))
+        return sample_tp_edges(m, n, t, rngs)
+
+    monkeypatch.setattr(harness, "sample_tp_edges", counting)
+    run_tree_comparison(reps=250, seed=3)
+    assert sizes == [125, 125] * len(fixture_names())
 
 
 def test_tree_comparison_is_identical_across_thread_counts():
@@ -183,6 +223,21 @@ def test_estimate_distinct_probability_unconditioned_matches_product():
     assert abs(est["p_distinct"] - exact) <= 3 * est["se"]
 
 
+@pytest.mark.parametrize("conditioned", [True, False])
+@pytest.mark.parametrize("m,n,t", [(1, 1, 1), (3, 3, 5), (5, 6, 9)])
+def test_distinct_rows_of_a_block_match_one_stream_samples(m, n, t, conditioned):
+    # small grids repeat edges often, so both outcomes occur
+    sampler = sample_tp if conditioned else sample_gr
+    rows = harness._distinct_rows(m, n, t, conditioned, split_streams(6, 0, 40))
+    expected = []
+    for i in range(40):
+        edges = sampler(m, n, t, split_stream(6, i)).edges
+        expected.append(len({tuple(e) for e in edges.tolist()}) == t)
+    assert [r["distinct"] for r in rows] == [int(d) for d in expected]
+    if t > 1:
+        assert 0 < sum(expected) < 40
+
+
 def test_estimate_distinct_probability_conditioned_in_bracket():
     est = estimate_distinct_probability(100, 100, 150, reps=2000, seed=4, conditioned=True)
     lo = math.exp(-(150 / 100) * (150 / 100))
@@ -239,9 +294,10 @@ def _dying_job(rngs):
 def test_pooled_errors_reach_the_caller_with_their_type():
     with pytest.raises(AttemptsExhausted, match="no candidate accepted"):
         harness._run_replicates([(_exhausted_job, 0)], 4, harness._POOL_MIN_EDGES, threads=2)
-    # t < max(m, n) fails inside sample_tp, in a worker
+    # t < max(m, n) fails inside sample_tp_edges, in a worker: 129 replicates
+    # are two lock-step blocks, so two tasks
     with pytest.raises(InputError, match="t=2000 < max"):
-        estimate_distinct_probability(3000, 3000, 2000, reps=16, conditioned=True, threads=2)
+        estimate_distinct_probability(3000, 3000, 2000, reps=129, conditioned=True, threads=2)
     grid = [(3000, 3000, 5792)]
     assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
 
