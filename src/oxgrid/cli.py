@@ -200,8 +200,6 @@ def _cmd_sweep(args) -> int:
         if args.aggregate:
             rows = harness.aggregate_giant_rows(rows)
     elif args.kind == "connectivity":
-        if config.m is None or config.n is None:
-            raise InputError("connectivity sweep config needs m and n")
         rows = harness.sweep_connectivity(
             config.m, config.n, config.grid, config.reps, config.seed, threads=args.threads
         )

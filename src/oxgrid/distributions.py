@@ -154,41 +154,36 @@ def _lgamma_arr(x: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
-def pmf_table(params: TruncatedPoissonParams, kmax: int | None = None) -> np.ndarray:
+def pmf_table(params: TruncatedPoissonParams) -> np.ndarray:
     """Probabilities for k = 1..K as a vector (index 0 holds P(Y=1)).
 
-    With kmax=None the table stops before the first term past the mode that
-    no longer changes the running sum, or once the tail mass is below 1e-17,
-    so cumulative sums reach 1 up to rounding and every entry of the
+    The table stops before the first term past the mode that no longer
+    changes the running sum, or once the tail mass is below 1e-17, so
+    cumulative sums reach 1 up to rounding and every entry of the
     cumulative sum exceeds the one before it. The recurrence
     p_k = p_(k-1) * rate / k starts at e^-rate; above rate ~ 708 that is no
     longer a normal double, and the table comes from the log-space
     :func:`pmf` instead.
     """
     rate = params.rate
-    hard_cap = int(rate + 60 + 40 * math.sqrt(rate)) if kmax is None else kmax
+    hard_cap = int(rate + 60 + 40 * math.sqrt(rate))
     if math.exp(-rate) < sys.float_info.min:
         probs = pmf(params, np.arange(1, hard_cap + 1))
-        if kmax is None:
-            cum = np.cumsum(probs)[:-1]
-            # the same two stops; the leading terms underflow to 0, so only
-            # a positive sum can stall
-            stalled = (cum == cum + probs[1:]) & (cum > 0.0)
-            last = np.flatnonzero(stalled | (1.0 - cum < 1e-17))
-            if last.size:
-                probs = probs[: last[0] + 1]
-        return probs
+        cum = np.cumsum(probs)[:-1]
+        # the same two stops; the leading terms underflow to 0, so only a
+        # positive sum can stall
+        stalled = (cum == cum + probs[1:]) & (cum > 0.0)
+        last = np.flatnonzero(stalled | (1.0 - cum < 1e-17))
+        return probs[: last[0] + 1] if last.size else probs
     norm = -math.expm1(-rate)
     probs = []
     p = math.exp(-rate) * rate / norm  # P(Y = 1)
     cum = 0.0
     k = 1
-    while k <= hard_cap:
-        if kmax is None and cum + p == cum:
-            break
+    while k <= hard_cap and cum + p != cum:
         probs.append(p)
         cum += p
-        if kmax is None and 1.0 - cum < 1e-17:
+        if 1.0 - cum < 1e-17:
             break
         k += 1
         p *= rate / k

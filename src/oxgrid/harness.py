@@ -6,16 +6,23 @@ Every experiment takes a master seed; replicate ``i`` always runs on
 per-replicate rows. Rows are plain dicts with stable column names, ready
 for CSV or JSON.
 
+Every experiment hands its replicates to :func:`_run_replicates` as one
+point ``(job, t, seed)`` per grid point or dataset: a job mapping a block
+of streams to rows, the edge count t of each replicate, and the master
+seed. That function alone checks reps >= 0, threads >= 1 and seed >= 0; the
+sweeps add reps >= 1, and their graph points meet the ``tp`` precondition
+before anything is sampled.
+
 Replicates run in blocks of consecutive indices: a call caps the block
-size, and each grid point's or dataset's replicates are cut into the
-fewest blocks under the cap, of near-equal size. With ``threads`` > 1 a
-call hands all of its blocks, over every grid point or dataset, to one
-persistent pool of up to ``threads`` worker processes in one map, and
-merges the rows back in index order. The pool is started on the first such
-call and kept for the next. A replicate is dozens of small numpy calls
-that hold the interpreter lock, so threads would not overlap them. A call
-that samples fewer than ``_POOL_MIN_EDGES`` edges in all runs in-process,
-as with ``threads=1``: there the pool's per-task cost outweighs the gain.
+size, and each point's replicates are cut into the fewest blocks under the
+cap, of near-equal size. With ``threads`` > 1 a call hands all of its
+blocks, over every point, to one persistent pool of up to ``threads``
+worker processes in one map, and merges the rows back in index order. The
+pool is started on the first such call and kept for the next. A replicate
+is dozens of small numpy calls that hold the interpreter lock, so threads
+would not overlap them. A call whose replicates sample fewer than
+``_POOL_MIN_EDGES`` edges in all runs in-process, as with ``threads=1``:
+there the pool's per-task cost outweighs the gain.
 
 The giant and connectivity sweeps use blocks of one: at their sizes each
 stream's long sides are conditioned one stream at a time anyway. The tree
@@ -48,7 +55,7 @@ import numpy as np
 
 from . import theory
 from .errors import InputError
-from .generators import sample_gr, sample_tp, sample_tp_edges
+from .generators import _check_min_degree, sample_gr, sample_tp, sample_tp_edges
 from .graph import block_tree_census, components, is_connected, tree_census
 from .ingest import Dataset, fixture_names, load_fixture
 # perfbench/layers.py looks split_stream up here to trace it
@@ -116,6 +123,8 @@ class ExperimentConfig:
             raise InputError("reps must be >= 0")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
+        if self.kind == "connectivity" and (self.m is None or self.n is None):
+            raise InputError("connectivity sweep config needs m and n")
         if not isinstance(self.grid, (list, tuple)) or not self.grid:
             raise InputError("grid must be a non-empty list")
         for point in self.grid:
@@ -139,11 +148,13 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def _mean_se(values: Sequence[float]) -> tuple[float, float]:
+def _mean_se(values: Sequence[float]) -> tuple[float | None, float | None]:
+    """Mean and standard error of ``values``, each None where undefined: the
+    mean of no value and the standard error of fewer than two."""
     arr = np.asarray(values, dtype=float)
-    if arr.size <= 1:
-        return float(arr.mean()) if arr.size else math.nan, math.nan
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+    mean = float(arr.mean()) if arr.size else None
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None
+    return mean, se
 
 
 def _proportion(hits: int, reps: int) -> tuple[float, float]:
@@ -216,29 +227,33 @@ def _run_block(
 
 
 def _run_replicates(
-    points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int]],
+    points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int, int]],
     reps: int,
-    edges: int,
     threads: int = 1,
     block: int = 1,
 ) -> list[list[dict]]:
-    """For each ``(job, seed)`` of ``points``, the rows of its replicates
+    """For each ``(job, t, seed)`` of ``points``, the rows of its replicates
     0..reps-1 in index order. A job maps the streams of up to ``block``
     consecutive replicates, as :func:`_block_bounds` cuts them, to one
     picklable row each, and must itself be picklable: a module-level
-    function or a ``partial`` of one. Replicate i
-    of a point runs on ``split_stream(seed, i)`` whatever the block and
-    worker counts. ``edges`` is the number of edges the call samples in
-    all; with ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` of them,
-    every block goes to the process pool in one map."""
+    function or a ``partial`` of one. Replicate i of a point runs on
+    ``split_stream(seed, i)`` whatever the block and worker counts. With
+    ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` edges over all
+    replicates, t each, every block goes to the process pool in one map.
+    Raises InputError for reps < 0, threads < 1 or a negative seed before
+    any replicate runs: these run rules live here alone."""
+    if reps < 0:
+        raise InputError(f"reps must be >= 0, got {reps}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    for _, _, seed in points:
+        if seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
     bounds = _block_bounds(reps, block)
-    tasks = [
-        (job, seed, start, stop) for job, seed in points for start, stop in zip(bounds, bounds[1:])
-    ]
+    spans = list(zip(bounds, bounds[1:]))
+    tasks = [(job, seed, *span) for job, _, seed in points for span in spans]
     workers = 1
-    if threads > 1 and edges >= _POOL_MIN_EDGES:
+    if threads > 1 and reps * sum(t for _, t, _ in points) >= _POOL_MIN_EDGES:
         workers = _pool_workers(threads, len(tasks))
     if workers == 1:
         blocks = [_run_block(*task) for task in tasks]
@@ -250,7 +265,7 @@ def _run_replicates(
         except BrokenProcessPool:
             _close_pool()  # a worker died; the next call starts a new pool
             raise
-    per_point = len(bounds) - 1  # blocks per point
+    per_point = len(spans)  # blocks per point
     return [
         [row for rows in blocks[k * per_point : (k + 1) * per_point] for row in rows]
         for k in range(len(points))
@@ -299,12 +314,6 @@ def run_tree_comparison(
     one replicate ``sim_se`` is None, as ``sim_mean`` is with none. Raises
     InputError for reps < 0, seed < 0 or threads < 1.
     """
-    if reps < 0:
-        raise InputError(f"reps must be >= 0, got {reps}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
     if datasets is None:
         datasets = [load_fixture(name) for name in fixture_names()]
     datasets = list(datasets)
@@ -313,9 +322,8 @@ def run_tree_comparison(
         for ds in datasets
     ]
     sims = _run_replicates(
-        [(partial(_tree_rows, m, n, t, shapes), seed + d) for d, (m, n, t) in enumerate(sizes)],
+        [(partial(_tree_rows, m, n, t, shapes), t, seed + d) for d, (m, n, t) in enumerate(sizes)],
         reps,
-        reps * sum(t for _, _, t in sizes),
         threads,
         block=_LOCK_STEP_CAP,
     )
@@ -332,9 +340,7 @@ def run_tree_comparison(
         expected = theory.expected_trees(shape_i, shape_j, m, n, t)
         for (i, j), ea in zip(shapes, expected.tolist()):
             key = f"{i},{j}"
-            sim_mean, sim_se = _mean_se([r[key] for r in raw]) if raw else (None, None)
-            if reps == 1:
-                sim_se = None  # one value has no standard error, and JSON no NaN
+            sim_mean, sim_se = _mean_se([r[key] for r in raw])
             ea_pub = pub.get("expected_trees", {}).get(key)
             obs_pub = pub.get("observed_trees", {}).get(key)
             obs = int(observed[i, j])
@@ -405,11 +411,13 @@ def sweep_giant(
     threads: int = 1,
 ) -> list[dict]:
     """Raw per-replicate rows: largest-component side fractions and sizes
-    for each (m, n, t) grid point, plus the analytic giant fractions."""
+    for each (m, n, t) grid point, plus the analytic giant fractions. Raises
+    InputError for reps < 1 or a point that breaks the ``tp`` precondition."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
     theories = []
     for m, n, t in grid:
+        _check_min_degree(m, n, t)
         left = theory.solve_rate(t / m)
         right = theory.solve_rate(t / n)
         ext = theory.extinction_probabilities(left.rate, right.rate)
@@ -421,9 +429,8 @@ def sweep_giant(
             )
         )
     sims = _run_replicates(
-        [(partial(_giant_rows, m, n, t), seed + k) for k, (m, n, t) in enumerate(grid)],
+        [(partial(_giant_rows, m, n, t), t, seed + k) for k, (m, n, t) in enumerate(grid)],
         reps,
-        reps * sum(t for _, _, t in grid),
         threads,
     )
     rows: list[dict] = []
@@ -482,19 +489,16 @@ def sweep_connectivity(
 ) -> list[dict]:
     """Raw per-replicate connectivity flags across a grid of the
     connectivity parameter c, with the finite-size obstruction (expected
-    (1,1)-tree count) attached to every row."""
+    (1,1)-tree count) attached to every row. Raises InputError for reps < 1
+    or a c whose edge count breaks the ``tp`` precondition."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
-    edge_counts = []
-    for c in c_grid:
-        t = theory.connectivity_edge_count(m, n, c)
-        if t < max(m, n):
-            raise InputError(f"c={c} gives t={t} < max(m, n)")
-        edge_counts.append(t)
+    edge_counts = [theory.connectivity_edge_count(m, n, c) for c in c_grid]
+    for t in edge_counts:
+        _check_min_degree(m, n, t)
     sims = _run_replicates(
-        [(partial(_connectivity_rows, m, n, t), seed + k) for k, t in enumerate(edge_counts)],
+        [(partial(_connectivity_rows, m, n, t), t, seed + k) for k, t in enumerate(edge_counts)],
         reps,
-        reps * sum(edge_counts),
         threads,
     )
     rows: list[dict] = []
@@ -547,6 +551,25 @@ def _distinct_rows(
     return [{"distinct": d} for d in distinct.astype(int).tolist()]
 
 
+def _distinct_estimates(
+    grid: Sequence[tuple[int, int, int]], reps: int, seed: int, conditioned: bool, threads: int
+) -> list[tuple[float, float]]:
+    """Per (m, n, t) of ``grid``, the share of its ``reps`` replicates whose
+    t edge slots are all distinct and the share's standard error, point k's
+    replicates on master seed seed + k, in lock-step blocks. No pair at
+    reps = 0, where the run rules are still checked."""
+    sims = _run_replicates(
+        [
+            (partial(_distinct_rows, m, n, t, conditioned), t, seed + k)
+            for k, (m, n, t) in enumerate(grid)
+        ],
+        reps,
+        threads,
+        block=_LOCK_STEP_CAP,
+    )
+    return [_proportion(sum(r["distinct"] for r in raw), reps) for raw in sims if raw]
+
+
 def estimate_distinct_probability(
     m: int,
     n: int,
@@ -561,14 +584,7 @@ def estimate_distinct_probability(
     via the configuration model."""
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
-    (raw,) = _run_replicates(
-        [(partial(_distinct_rows, m, n, t, conditioned), seed)],
-        reps,
-        reps * t,
-        threads,
-        block=_LOCK_STEP_CAP,
-    )
-    p_hat, se = _proportion(sum(r["distinct"] for r in raw), reps)
+    ((p_hat, se),) = _distinct_estimates([(m, n, t)], reps, seed, conditioned, threads)
     return {
         "m": m,
         "n": n,
@@ -592,12 +608,7 @@ def sweep_count_ratio(
     analytic bracket, each point's replicates on master seed seed + its
     index, as :func:`estimate_distinct_probability` would draw them. Raises
     InputError for mc_reps < 0, seed < 0 or threads < 1."""
-    if mc_reps < 0:
-        raise InputError(f"mc_reps must be >= 0, got {mc_reps}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
+    estimates = _distinct_estimates(grid, mc_reps, seed, True, threads)
     rows = []
     for m, n, t in grid:
         exact = theory.count_exact_log(m, n, t)
@@ -617,20 +628,8 @@ def sweep_count_ratio(
                 "birthday_factor": theory.birthday_factor(m, n, t),
             }
         )
-    if mc_reps > 0:
-        sims = _run_replicates(
-            [
-                (partial(_distinct_rows, m, n, t, True), seed + k)
-                for k, (m, n, t) in enumerate(grid)
-            ],
-            mc_reps,
-            mc_reps * sum(t for _, _, t in grid),
-            threads,
-            block=_LOCK_STEP_CAP,
-        )
-        for row, raw in zip(rows, sims):
-            p_hat, se = _proportion(sum(r["distinct"] for r in raw), mc_reps)
-            row.update(p_distinct_conditioned=p_hat, p_distinct_se=se)
+    for row, (p_hat, se) in zip(rows, estimates):
+        row.update(p_distinct_conditioned=p_hat, p_distinct_se=se)
     return rows
 
 

@@ -163,14 +163,16 @@ class Extinction:
     xi_right: float
 
 
-def composite_fixed_point(
-    first_rate: float, second_rate: float, method: str = "iterate"
-) -> float:
-    """Smallest fixed point in [0, 1] of z -> exp(second*(exp(first*(z-1)) - 1)).
+def composite_fixed_point(first_rate: float, second_rate: float) -> float:
+    """Smallest fixed point in [0, 1] of g(z) = exp(second*(exp(first*(z-1)) - 1)).
 
-    ``iterate`` runs the monotone iteration from 0, which provably converges
-    upward to the smallest fixed point; ``bisect`` brackets the same root
-    independently so the two can cross-check each other.
+    Bisection on a bracket: g(z) - z is positive left of the smallest root
+    and negative just below 1 in the supercritical case. The halving stops
+    once the midpoint no longer moves, so the result z and the next double
+    above it hold the root between them: g(z) > z and g(z+) <= z+. That
+    takes about 55 halvings however close the rate product is to 1, where
+    the monotone iteration from 0 slows down, and a stop on its step size
+    there lands far short of the root.
     """
     if first_rate <= 0 or second_rate <= 0:
         raise InputError("rates must be positive")
@@ -180,28 +182,17 @@ def composite_fixed_point(
     def g(z: float) -> float:
         return math.exp(second_rate * math.expm1(first_rate * (z - 1.0)))
 
-    if method == "iterate":
-        z = 0.0
-        for _ in range(10**6):
-            nz = g(z)
-            if abs(nz - z) <= 1e-13:
-                return nz
-            z = nz
-        return z
-    if method == "bisect":
-        # g(z) - z is positive left of the smallest root and negative just
-        # below 1 in the supercritical case
-        lo, hi = 0.0, 1.0 - 1e-15
-        if g(hi) - hi > 0:
-            return 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) - mid > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    raise InputError(f"unknown method {method!r}")
+    lo, hi = 0.0, 1.0 - 1e-15
+    if g(hi) - hi > 0:
+        return 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if g(mid) - mid > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def extinction_probabilities(left_rate: float, right_rate: float) -> Extinction:

@@ -168,6 +168,30 @@ def test_sweep_rejects_zero_threads(capsys, tmp_path):
     assert "threads must be >= 1" in err
 
 
+def test_one_replicate_giant_aggregate_leaves_the_standard_errors_empty(capsys, tmp_path):
+    # the standard error of one replicate used to print as nan
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "giant", "grid": [[300, 300, 580]], "reps": 1}))
+    code, out, _ = run_cli(capsys, "sweep", "giant", "--config", str(config), "--aggregate")
+    assert code == 0
+    assert "nan" not in out.lower()
+    header, row = (line.split(",") for line in out.strip().split("\n"))
+    fields = dict(zip(header, row))
+    assert fields["se_largest_left_fraction"] == fields["se_largest_right_fraction"] == ""
+    assert fields["mean_largest_left_fraction"] != ""
+
+
+@pytest.mark.parametrize("point", [[0, 5, 10], [5, 0, 10], [10, 10, 5]])
+def test_giant_point_off_the_tp_precondition_is_an_input_error(capsys, tmp_path, point):
+    # a zero-size side used to exit 3 from a division by zero
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "giant", "grid": [point], "reps": 2}))
+    code, out, err = run_cli(capsys, "sweep", "giant", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_sweep_cli_round_trip(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"kind": "count-ratio", "grid": [[50, 50, 100]],

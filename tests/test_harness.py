@@ -38,6 +38,8 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="giant", grid=[[300, 300, 580]], reps=True)
     with pytest.raises(InputError, match="grid points"):
         ExperimentConfig(kind="count-ratio", grid=[(50, 50)])
+    with pytest.raises(InputError, match="needs m and n"):
+        ExperimentConfig(kind="connectivity", grid=[0.6, 2], m=400)
     config = ExperimentConfig(kind="connectivity", grid=[0.6, 2], m=np.int64(400), n=400)
     assert config.grid == [0.6, 2]
 
@@ -293,7 +295,7 @@ def _dying_job(rngs):
 
 def test_pooled_errors_reach_the_caller_with_their_type():
     with pytest.raises(AttemptsExhausted, match="no candidate accepted"):
-        harness._run_replicates([(_exhausted_job, 0)], 4, harness._POOL_MIN_EDGES, threads=2)
+        harness._run_replicates([(_exhausted_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
     # t < max(m, n) fails inside sample_tp_edges, in a worker: 129 replicates
     # are two lock-step blocks, so two tasks
     with pytest.raises(InputError, match="t=2000 < max"):
@@ -307,10 +309,27 @@ def test_a_dead_worker_breaks_only_the_call_it_was_running():
     from concurrent.futures.process import BrokenProcessPool
 
     with pytest.raises(BrokenProcessPool):
-        harness._run_replicates([(_dying_job, 0)], 4, harness._POOL_MIN_EDGES, threads=2)
+        harness._run_replicates([(_dying_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
     assert harness._pool is None
     grid = [(3000, 3000, 5792)]
     assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
+
+
+@pytest.mark.parametrize(
+    "reps,threads,seeds,message",
+    [
+        (-1, 1, (0,), "reps must be >= 0"),
+        (3, 0, (0,), "threads must be >= 1"),
+        (3, 1, (2, -1), "seed must be >= 0"),
+    ],
+    ids=["reps", "threads", "seed"],
+)
+def test_run_rules_are_checked_before_any_job_runs(reps, threads, seeds, message):
+    calls = []
+    points = [(calls.append, 10, seed) for seed in seeds]
+    with pytest.raises(InputError, match=message):
+        harness._run_replicates(points, reps, threads=threads)
+    assert calls == []
 
 
 def test_worker_count_is_capped_by_cpus_and_tasks():

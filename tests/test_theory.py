@@ -114,13 +114,46 @@ def test_extinction_subcritical_is_certain():
     assert (ext.zeta_left, ext.zeta_right, ext.xi_left, ext.xi_right) == (1, 1, 1, 1)
 
 
+def _composite(first_rate, second_rate, z):
+    return math.exp(second_rate * math.expm1(first_rate * (z - 1.0)))
+
+
+def _iterate_fixed_point(first_rate, second_rate):
+    # reference: the monotone iteration from 0, which converges upward to the
+    # smallest fixed point; only where its steps still shrink fast
+    z = 0.0
+    for _ in range(10**5):
+        nz = _composite(first_rate, second_rate, z)
+        if abs(nz - z) <= 1e-15:
+            return nz
+        z = nz
+    raise AssertionError("the iteration did not converge")
+
+
 def test_extinction_two_methods_agree():
-    it = composite_fixed_point(1.5, 1.5, method="iterate")
-    bi = composite_fixed_point(1.5, 1.5, method="bisect")
-    assert abs(it - bi) <= 1e-10
+    # the bisection against the iteration, where the iteration converges
+    for a, b in [(1.5, 1.5), (2.0, 1.1), (5.0, 0.9), (1.5, 1.0)]:
+        assert composite_fixed_point(a, b) == pytest.approx(_iterate_fixed_point(a, b), abs=1e-13)
     # frozen value derived independently by both monotone iteration and
     # bisection on the fixed-point equation
-    assert it == pytest.approx(0.4171883561341874, abs=1e-9)
+    assert composite_fixed_point(1.5, 1.5) == pytest.approx(0.4171883561341874, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "product", [1.0 + 1e-6, 1.0 + 1e-5, 1.0 + 1e-4, 1.1, 2.25, 10.0, 100.0]
+)
+@pytest.mark.parametrize("skew", [1.0, 3.0])
+def test_extinction_solve_brackets_the_root_within_one_ulp(product, skew):
+    # a one-ulp certificate: g - id changes sign between the result and the
+    # next double above it. Near criticality the root is far from where a
+    # stop on the step size of the monotone iteration lands (58% off in the
+    # giant fraction at 1 + 1e-6)
+    a = math.sqrt(product) * skew
+    b = product / a
+    z = composite_fixed_point(a, b)
+    above = math.nextafter(z, 2.0)
+    assert 0.0 < z < 1.0
+    assert _composite(a, b, z) - z > 0 >= _composite(a, b, above) - above
 
 
 @pytest.mark.parametrize(
