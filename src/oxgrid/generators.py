@@ -152,8 +152,8 @@ def _sum_law(rate: float, j: int) -> tuple[int, np.ndarray]:
     outside the window. The table is cached and shared, so it is read-only.
     """
     params = TruncatedPoissonParams.from_rate(rate)
-    # pmf works in log space: pmf_table's recurrence starts at e^-rate,
-    # which underflows above rate ~ 745
+    # its own table, not pmf_table's, which stops short of the hard cap:
+    # K = k_max sets the FFT size N, and with it every bit of the law
     k_max = int(rate + 60 + 40 * math.sqrt(rate))
     shifted = pmf(params, np.arange(1, k_max + 1))
     size = 1 << math.ceil(math.log2(80 * math.sqrt(j * params.variance) + 2 * k_max))

@@ -125,6 +125,9 @@ class ExperimentConfig:
             raise InputError("seed must be >= 0")
         if self.kind == "connectivity" and (self.m is None or self.n is None):
             raise InputError("connectivity sweep config needs m and n")
+        if self.kind != "connectivity" and (self.m is not None or self.n is not None):
+            raise InputError(f"m and n belong to connectivity configs; a {self.kind} config "
+                             "takes its sizes from its grid")
         if not isinstance(self.grid, (list, tuple)) or not self.grid:
             raise InputError("grid must be a non-empty list")
         for point in self.grid:
@@ -334,8 +337,7 @@ def run_tree_comparison(
     flags: list[str] = []
     for ds, (m, n, t), raw in zip(datasets, sizes, sims):
         pub = ds.published or {}
-        left = theory.solve_rate(t / m)
-        right = theory.solve_rate(t / n)
+        left, right = theory._side_rates(m, n, t)
         observed = tree_census(components(ds.graph), max_i, max_j)
         expected = theory.expected_trees(shape_i, shape_j, m, n, t)
         for (i, j), ea in zip(shapes, expected.tolist()):
@@ -411,15 +413,15 @@ def sweep_giant(
     threads: int = 1,
 ) -> list[dict]:
     """Raw per-replicate rows: largest-component side fractions and sizes
-    for each (m, n, t) grid point, plus the analytic giant fractions. Raises
-    InputError for reps < 1 or a point that breaks the ``tp`` precondition."""
+    for each (m, n, t) grid point, plus the analytic giant fractions. A point
+    needs t > max(m, n): InputError for reps < 1 or a point that breaks the
+    ``tp`` precondition, DomainError at t == max(m, n) (a mean degree of 1)."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
     theories = []
     for m, n, t in grid:
         _check_min_degree(m, n, t)
-        left = theory.solve_rate(t / m)
-        right = theory.solve_rate(t / n)
+        left, right = theory._side_rates(m, n, t)
         ext = theory.extinction_probabilities(left.rate, right.rate)
         theories.append(
             dict(

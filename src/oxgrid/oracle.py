@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError
-from .generators import _multiset_counts_from_codes, tp_multiset_counts
+from .generators import _check_gr, _multiset_counts_from_codes, tp_multiset_counts
 from .rng import make_stream
 
 __all__ = [
@@ -90,11 +90,10 @@ def exhaustive_census(
     ``chunk``-sized ranges; with ``track_outcomes`` only the valid indices
     of a range are decoded into edge codes and tallied.
 
-    Raises SizeError when (m*n)^t exceeds ``cap``. When t < max(m, n) no
-    sequence can be valid, so nothing is iterated.
+    InputError for a bad triple, SizeError when (m*n)^t exceeds ``cap``.
+    When t < max(m, n) no sequence can be valid, so nothing is iterated.
     """
-    if m < 1 or n < 1 or t < 0:
-        raise SizeError("need m, n >= 1 and t >= 0")
+    _check_gr(m, n, t)
     total = (m * n) ** t
     if total > cap:
         raise SizeError(f"(m*n)^t = {total} exceeds the cap {cap}")

@@ -3,7 +3,10 @@
 Counting identities, the giant-component threshold and its extinction
 probabilities, expected tree-component counts, and the connectivity
 parameter. Everything here is a pure function of (m, n, t) or of the two
-truncated-Poisson rates derived from it.
+truncated-Poisson rates derived from it. A triple is checked against the
+``gr`` precondition (``generators._check_gr``: InputError for a side below
+1 or t below 0), and ``_side_rates`` is the one way from it to the two side
+laws, whose means are t/m and t/n (DomainError for a mean of 1 or less).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 from .distributions import TruncatedPoissonParams, _lgamma_arr, solve_rate
 from .errors import DomainError, InputError
+from .generators import _check_gr, _check_sides
 
 __all__ = [
     "surjection_count",
@@ -67,13 +71,17 @@ def count_exact(m: int, n: int, t: int) -> int:
 
 
 def _coverable(m: int, n: int, t: int) -> bool:
-    """Whether t edges can cover every vertex of (m, n); InputError for
-    m < 1, n < 1 or t < 0."""
-    if m < 1 or n < 1:
-        raise InputError("m and n must be >= 1")
-    if t < 0:
-        raise InputError("t must be >= 0")
+    """Whether t edges can cover every vertex of (m, n); InputError for a
+    triple that breaks the ``gr`` precondition."""
+    _check_gr(m, n, t)
     return t >= max(m, n)
+
+
+def _side_rates(m: int, n: int, t: int) -> tuple[TruncatedPoissonParams, TruncatedPoissonParams]:
+    """The left and right truncated-Poisson laws of (m, n, t), with means t/m
+    and t/n; errors as the module docstring says."""
+    _check_gr(m, n, t)
+    return solve_rate(t / m), solve_rate(t / n)
 
 
 def _log_big(x: int) -> float:
@@ -109,8 +117,7 @@ def count_asymptotic_log(m: int, n: int, t: int) -> float:
     where a, b solve the per-side mean-degree equations and s_a, s_b are the
     conditional standard deviations. Requires t/m > 1 and t/n > 1.
     """
-    pa = solve_rate(t / m)
-    pb = solve_rate(t / n)
+    pa, pb = _side_rates(m, n, t)
     a, b = pa.rate, pb.rate
     return (
         2.0 * math.lgamma(t + 1)
@@ -127,8 +134,7 @@ def count_asymptotic_log(m: int, n: int, t: int) -> float:
 def birthday_factor(m: int, n: int, t: int) -> float:
     """Approximate probability that t uniform edge draws are all distinct:
     exp(-t^2 / (2 m n))."""
-    if m < 1 or n < 1 or t < 0:
-        raise InputError("need m, n >= 1 and t >= 0")
+    _check_gr(m, n, t)
     return math.exp(-(t * t) / (2.0 * m * n))
 
 
@@ -136,8 +142,7 @@ def distinct_ratio_bracket(m: int, n: int, t: int) -> tuple[float, float]:
     """Bracket (lo, hi) for the ratio of distinct-edge graphs to
     with-replacement sequences among min-degree-1 outcomes, evaluated at the
     finite ratios: lo = exp(-(t/m)(t/n)), hi = 1."""
-    if m < 1 or n < 1 or t < 0:
-        raise InputError("need m, n >= 1 and t >= 0")
+    _check_gr(m, n, t)
     return math.exp(-(t / m) * (t / n)), 1.0
 
 
@@ -266,8 +271,8 @@ def expected_trees(i, j, m: int, n: int, t: int) -> float | np.ndarray:
     integer arrays for i and j (broadcast together) and is computed in log
     space, so large shapes neither overflow nor lose digits.
     """
-    a = solve_rate(t / m).rate
-    b = solve_rate(t / n).rate
+    left, right = _side_rates(m, n, t)
+    a, b = left.rate, right.rate
     return _tree_law(i, j, a, b) * (t / (a * b))
 
 
@@ -282,7 +287,11 @@ def expected_trees_exact(i: int, j: int, m: int, n: int, t: int) -> float:
 
     with S the surjection count. Multiplying by the number of vertex-labeled
     trees gives the expectation; :func:`expected_trees` is its limit.
+    InputError for a bad triple or a shape below 1; DomainError when
+    t < max(m, n) leaves no valid outcome.
     """
+    if not _coverable(m, n, t):
+        raise DomainError(f"no valid outcomes at (m={m}, n={n}, t={t})")
     if i < 1 or j < 1:
         raise InputError("i and j must be >= 1")
     if i > m or j > n:
@@ -291,8 +300,6 @@ def expected_trees_exact(i: int, j: int, m: int, n: int, t: int) -> float:
     if t < k:
         return 0.0
     denom = surjection_count(t, m) * surjection_count(t, n)
-    if denom == 0:
-        raise DomainError(f"no valid outcomes at (m={m}, n={n}, t={t})")
     num = (
         math.comb(m, i)
         * math.comb(n, j)
@@ -302,9 +309,7 @@ def expected_trees_exact(i: int, j: int, m: int, n: int, t: int) -> float:
         * surjection_count(t - k, m - i)
         * surjection_count(t - k, n - j)
     )
-    if num == 0:
-        return 0.0
-    return math.exp(_log_big(num) - _log_big(denom))
+    return math.exp(_log_big(num) - _log_big(denom))  # 0.0 when num == 0
 
 
 def er_expected_trees(i, j, big_m: int, big_n: int, p: float) -> float | np.ndarray:
@@ -323,15 +328,13 @@ def er_expected_trees(i, j, big_m: int, big_n: int, p: float) -> float | np.ndar
 def connectivity_parameter(m: int, n: int, t: int) -> float:
     """The c with t = c * (mn / (m+n)) * ln(m+n); c crossing 1 separates the
     disconnected and connected regimes (natural logarithm)."""
-    if m + n < 2:
-        raise InputError("need m + n >= 2")
+    _check_gr(m, n, t)
     return t * (m + n) / (m * n * math.log(m + n))
 
 
 def connectivity_edge_count(m: int, n: int, c: float) -> int:
     """Inverse of :func:`connectivity_parameter`: the edge count for a target c."""
-    if m + n < 2:
-        raise InputError("need m + n >= 2")
+    _check_sides(m, n)
     return round(c * m * n * math.log(m + n) / (m + n))
 
 
@@ -416,18 +419,13 @@ class PredictionReport:
 def predict(m: int, n: int, t: int, max_tree: int = 4) -> PredictionReport:
     """Full analytic report for one parameter triple. Requires t/m > 1 and
     t/n > 1 so the rate equations have solutions."""
-    if m < 1 or n < 1:
-        raise InputError("m and n must be >= 1")
+    left, right = _side_rates(m, n, t)
     if max_tree < 1:
         raise InputError("max_tree must be >= 1")
-    left = solve_rate(t / m)
-    right = solve_rate(t / n)
     ext = extinction_probabilities(left.rate, right.rate)
     sizes = np.arange(1, max_tree + 1)
     ea = np.zeros((max_tree + 1, max_tree + 1))
-    ea[1:, 1:] = _tree_law(sizes[:, None], sizes, left.rate, right.rate) * (
-        t / (left.rate * right.rate)
-    )
+    ea[1:, 1:] = expected_trees(sizes[:, None], sizes, m, n, t)
     exact = count_exact_log(m, n, t) if max(m, n) <= _EXACT_COUNT_LIMIT else None
     return PredictionReport(
         m=m,

@@ -192,6 +192,33 @@ def test_giant_point_off_the_tp_precondition_is_an_input_error(capsys, tmp_path,
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "kind,config",
+    [
+        ("giant", {"grid": [[300, 300, 580]], "m": 5}),
+        ("count-ratio", {"grid": [[50, 50, 100]], "m": 50, "n": 50}),
+    ],
+    ids=["giant", "count-ratio"],
+)
+def test_sweep_config_with_m_off_connectivity_exits_1(capsys, tmp_path, kind, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": kind, "reps": 2, **config}))
+    code, out, err = run_cli(capsys, "sweep", kind, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert "belong to connectivity configs" in err
+
+
+def test_giant_point_at_t_equal_max_side_exits_1(capsys, tmp_path):
+    # a side's mean degree of 1 has no rate, so a giant point needs t > max(m, n)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "giant", "grid": [[5, 5, 5]], "reps": 2}))
+    code, out, err = run_cli(capsys, "sweep", "giant", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert "mean=1.0" in err
+
+
 def test_sweep_cli_round_trip(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"kind": "count-ratio", "grid": [[50, 50, 100]],

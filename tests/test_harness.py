@@ -44,6 +44,20 @@ def test_experiment_config_validation():
     assert config.grid == [0.6, 2]
 
 
+@pytest.mark.parametrize(
+    "kind,grid,sizes",
+    [
+        ("giant", [[300, 300, 580]], {"m": 5, "n": -3}),
+        ("giant", [[300, 300, 580]], {"n": 300}),
+        ("count-ratio", [[50, 50, 100]], {"m": 50}),
+    ],
+)
+def test_giant_and_count_ratio_configs_take_no_m_or_n(kind, grid, sizes):
+    # these used to construct and then run at the grid's sizes
+    with pytest.raises(InputError, match="belong to connectivity configs"):
+        ExperimentConfig(kind=kind, grid=grid, reps=2, **sizes)
+
+
 # ----------------------------------------------------------------------
 # tree-count comparison report
 # ----------------------------------------------------------------------

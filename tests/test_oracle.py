@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from test_graph import _reference_components
 
-from oxgrid.errors import SizeError
+from oxgrid.errors import InputError, SizeError
 from oxgrid.generators import _multiset_counts_from_codes
 from oxgrid.graph import BipartiteMultigraph, block_tree_census
 from oxgrid.oracle import (
@@ -53,6 +53,14 @@ def test_census_infeasible_t_short_circuits():
     assert c.valid_count == 0
     assert c.outcome_frequencies == {}
     assert c.total_sequences == 15**2
+
+
+def test_census_rejects_a_bad_triple_as_input():
+    # a zero side used to raise SizeError, which means a size cap was hit
+    with pytest.raises(InputError, match="m and n must be >= 1"):
+        exhaustive_census(0, 2, 3)
+    with pytest.raises(InputError, match="t must be an edge count >= 0"):
+        exhaustive_census(2, 2, -1)
 
 
 def test_census_cap():

@@ -441,3 +441,47 @@ def test_predict_supercritical_report():
 def test_predict_requires_supercritical_means():
     with pytest.raises(DomainError):
         predict(5, 5, 5)
+
+
+# ----------------------------------------------------------------------
+# one front door for (m, n, t)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expected_trees(1, 1, 0, 5, 10),
+        lambda: count_asymptotic_log(0, 5, 10),
+        lambda: connectivity_parameter(0, 5, 10),
+        lambda: connectivity_edge_count(0, 5, 1.0),
+        lambda: expected_trees_exact(1, 1, 0, 5, 10),
+    ],
+    ids=["expected_trees", "count_asymptotic_log", "connectivity_parameter",
+         "connectivity_edge_count", "expected_trees_exact"],
+)
+def test_a_zero_side_is_an_input_error(call):
+    # the first three used to divide by zero; the last two returned 0
+    with pytest.raises(InputError, match="m and n must be >= 1"):
+        call()
+
+
+def test_predict_rejects_a_negative_edge_count():
+    # t = -1 used to reach the rate solve and raise DomainError
+    with pytest.raises(InputError, match="t must be an edge count >= 0"):
+        predict(5, 5, -1)
+
+
+def test_expected_trees_exact_rejects_every_shape_of_an_uncoverable_triple():
+    # (5, 1) at (2, 2, 1) used to return 0.0 where (1, 1) raised
+    for i, j in [(1, 1), (5, 1)]:
+        with pytest.raises(DomainError, match="no valid outcomes"):
+            expected_trees_exact(i, j, 2, 2, 1)
+
+
+@pytest.mark.parametrize("m,n,t", [(22, 27, 44), (3000, 2000, 6000)])
+def test_predict_matrix_is_expected_trees(m, n, t):
+    matrix = predict(m, n, t, max_tree=6).expected_tree_matrix
+    for i in range(1, 7):
+        for j in range(1, 7):
+            assert matrix[i, j] == expected_trees(i, j, m, n, t)
