@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
+from .rng import stream_uniforms
 
 __all__ = [
     "TruncatedPoissonParams",
@@ -297,20 +298,18 @@ def sample_truncated(
 
 
 def sample_truncated_streams(
-    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], size: int
+    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], sizes: Sequence[int]
 ) -> np.ndarray:
-    """``size`` samples from each stream, shape (len(rngs), size); row r is
-    exactly ``sample_truncated(params, rngs[r], size)``.
+    """``sizes[r]`` samples from each stream ``rngs[r]``, end to end in one
+    flat array: its run r is exactly ``sample_truncated(params, rngs[r],
+    sizes[r])``.
 
     At rate <= 30 every stream draws its uniforms into one array, which one
     inverse-CDF lookup maps; above, each stream samples on its own.
     """
     if params.rate > _INVERSE_CDF_MAX_RATE:
-        return np.stack([sample_truncated(params, rng, size) for rng in rngs])
-    u = np.empty((len(rngs), size))
-    for row, rng in zip(u, rngs):
-        rng.random(out=row)
-    return _inverse_cdf(params.rate, u).astype(np.int64, copy=False)
+        return np.concatenate([sample_truncated(params, rng, k) for rng, k in zip(rngs, sizes)])
+    return _inverse_cdf(params.rate, stream_uniforms(rngs, sizes)).astype(np.int64, copy=False)
 
 
 def sample_poisson(rate: float, rng: np.random.Generator, size: int | None = None):

@@ -9,7 +9,7 @@
             uniform permutation. Distribution-identical to ``gr1`` and
             the fast path at scale. One construction serves
             ``sample_tp``, ``sample_tp_edges`` (one graph per stream for
-            many streams, which run in lock-step on short sides) and
+            many streams, which run in lock-step) and
             ``tp_multiset_counts`` (many graphs on one stream); its exact
             degree conditioning is described at ``_condition``.
 * ``er``  — independent edges with probability p on an M x N grid.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .distributions import (
 )
 from .errors import AttemptsExhausted, InputError
 from .graph import BipartiteMultigraph
-from .rng import make_stream
+from .rng import make_stream, stream_uniforms
 
 __all__ = [
     "ModelSpec",
@@ -198,42 +199,81 @@ class _Budget:
         self.expected += expected
 
 
+def _runs(owner: np.ndarray, streams: int) -> tuple[list[int], list[int]]:
+    """The streams that own rows of ``owner``, an ascending array of stream
+    indices below ``streams``, and how many rows each owns."""
+    if streams == 1:
+        return [0], [owner.size]
+    sizes = np.bincount(owner, minlength=streams)
+    present = np.flatnonzero(sizes)
+    return present.tolist(), sizes[present].tolist()
+
+
+def _draws(
+    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], sizes: Sequence[int]
+) -> np.ndarray:
+    """``sizes[r]`` truncated-Poisson values from each stream ``rngs[r]``,
+    end to end in one flat array."""
+    if len(rngs) == 1:
+        # one stream draws through this module's sample_truncated, where
+        # tests and profilers can watch it
+        return sample_truncated(params, rngs[0], sizes[0])
+    return sample_truncated_streams(params, rngs, sizes)
+
+
 def _accepted_prefixes(
     params: TruncatedPoissonParams,
     h: int,
     j: int,
+    owner: np.ndarray,
     targets: np.ndarray,
     predicted: np.ndarray,
-    rng: np.random.Generator,
-    budget: _Budget,
+    rngs: Sequence[np.random.Generator],
+    budgets: Sequence[_Budget],
 ) -> np.ndarray:
     """One h-coordinate prefix per row: iid draws, kept with probability
     P(S_j = target - s) / max_r P(S_j = r), where s is the prefix sum.
-    ``predicted`` is each row's estimated chance of keeping a candidate."""
+    ``predicted`` is each row's estimated chance of keeping a candidate.
+
+    Row r draws from ``rngs[owner[r]]`` and charges ``budgets[owner[r]]``;
+    ``owner`` ascends. In each round every open stream, in index order, is
+    charged for its open rows, then draws their candidate prefixes and then
+    one keep uniform for each, as it would alone; one lookup, one row sum
+    and one ``law.take`` serve all the streams."""
     first, law = _sum_law(params.rate, j)
     out = np.empty((targets.size, h), dtype=np.int64)
     open_rows = np.arange(targets.size)
     offsets = targets - first  # each open row's target as an index into law
-    while open_rows.size:
-        budget.spend(open_rows.size, float(predicted.sum()))
-        draws = sample_truncated(params, rng, open_rows.size * h).reshape(-1, h)
-        keep = rng.random(open_rows.size) < law.take(offsets - draws.sum(axis=1), mode="clip")
+    streams, sizes = _runs(owner, len(rngs))  # the open streams and their open rows
+    open_rngs = [rngs[s] for s in streams]
+    while True:
+        start = 0
+        for s, k in zip(streams, sizes):
+            budgets[s].spend(k, float(predicted[start : start + k].sum()))
+            start += k
+        draws = _draws(params, open_rngs, [k * h for k in sizes]).reshape(-1, h)
+        u = stream_uniforms(open_rngs, sizes)
+        keep = u < law.take(offsets - draws.sum(axis=1), mode="clip")
+        kept = int(np.count_nonzero(keep))
+        if not kept:
+            continue
         out[open_rows[keep]] = draws[keep]
-        budget.accepted += int(np.count_nonzero(keep))
+        if kept == open_rows.size:
+            for s, k in zip(streams, sizes):
+                budgets[s].accepted += k
+            return out
+        if len(streams) == 1:
+            hits = [kept]
+        else:
+            hits = np.add.reduceat(keep, np.cumsum([0] + sizes[:-1]), dtype=np.intp).tolist()
+        for s, accepted in zip(streams, hits):
+            budgets[s].accepted += accepted
+        sizes = [k - accepted for k, accepted in zip(sizes, hits)]
+        if 0 in sizes:
+            streams, open_rngs = list(compress(streams, sizes)), list(compress(open_rngs, sizes))
+            sizes = [k for k in sizes if k]
         redraw = ~keep
         open_rows, offsets, predicted = open_rows[redraw], offsets[redraw], predicted[redraw]
-    return out
-
-
-def _draws(
-    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], size: int
-) -> np.ndarray:
-    """``size`` truncated-Poisson values from each stream, shape (len(rngs), size)."""
-    if len(rngs) == 1:
-        # one stream draws through this module's sample_truncated, where
-        # tests and profilers can watch it
-        return sample_truncated(params, rngs[0], size)[None]
-    return sample_truncated_streams(params, rngs, size)
 
 
 def _leaf_vectors(
@@ -264,15 +304,15 @@ def _leaf_vectors(
     expected = batch * min(1.0, p_hit)
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
     rows = out.reshape(-1, count)  # stream s fills rows s * vectors onwards
-    streams = np.arange(len(rngs))  # the streams still short of vectors
+    streams = list(range(len(rngs)))  # the streams still short of vectors
+    open_rngs = list(rngs)
     fill = np.arange(0, len(rngs) * vectors, vectors)  # each open stream's next row
     end = fill + vectors
-    while streams.size:
-        open_streams = streams.tolist()
-        for s in open_streams:
+    while streams:
+        for s in streams:
             budgets[s].spend(batch, expected)
-        draws = _draws(params, [rngs[s] for s in open_streams], batch * count)
-        draws = draws.reshape(streams.size, batch, count)
+        draws = _draws(params, open_rngs, [batch * count] * len(streams))
+        draws = draws.reshape(len(streams), batch, count)
         # einsum sums a short last axis several times faster than sum
         hits = np.einsum("ijk->ij", draws) == target
         if not np.count_nonzero(hits):
@@ -280,14 +320,18 @@ def _leaf_vectors(
         # a stream keeps its first hits in draw order, up to what it lacks:
         # the hit of rank r among its stream's hits fills row fill + r - 1
         slot = hits.cumsum(axis=1, dtype=np.int32)  # out has far fewer than 2^31 rows
-        for s, accepted in zip(open_streams, slot[:, -1].tolist()):
+        for s, accepted in zip(streams, slot[:, -1].tolist()):
             budgets[s].accepted += accepted
         slot += (fill - 1)[:, None]
         take = np.flatnonzero(hits & (slot < end[:, None]))
         rows[slot.ravel()[take]] = draws.reshape(-1, count)[take]
         fill = slot[:, -1] + 1
         short = fill < end
-        streams, fill, end = streams[short], fill[short], end[short]
+        if not short.any():
+            break
+        lacks = short.tolist()
+        streams, open_rngs = list(compress(streams, lacks)), list(compress(open_rngs, lacks))
+        fill, end = fill[short], end[short]
     return out
 
 
@@ -295,35 +339,71 @@ def _split(
     params: TruncatedPoissonParams,
     count: int,
     total: int,
-    rng: np.random.Generator,
-    budget: _Budget,
+    rngs: Sequence[np.random.Generator],
+    budgets: Sequence[_Budget],
     out: np.ndarray,
 ) -> None:
-    """Fill the rows of ``out`` with vectors of ``count`` > ``_LEAF``
-    coordinates summing to ``total``, one stream; the recursive step of
-    :func:`_condition`."""
-    vectors = out.shape[0]
-    rows = np.arange(vectors)  # the rows still conditioned at this rate
-    targets = np.full(vectors, total, dtype=np.int64)  # what each has left to sum to
-    z = np.zeros(vectors)  # their targets' distance from the mean, in sd
+    """Fill ``out``, shape (len(rngs), vectors, ``count`` > ``_LEAF``),
+    with vectors summing to ``total``, stream s drawing the rows of
+    ``out[s]``; the recursive step of :func:`_condition`.
+
+    Every row of every stream shares the split point and the rate of each
+    level; rows that start afresh do so through :func:`_restart`."""
+    vectors = out.shape[1]
+    flat = out.reshape(-1, count)  # a view: out is C-contiguous
+    rows = np.arange(flat.shape[0])  # the rows still conditioned at this rate
+    owner = rows // vectors  # the stream each row draws from
+    targets = np.full(rows.size, total, dtype=np.int64)  # what each has left to sum to
+    z = np.zeros(rows.size)  # their targets' distance from the mean, in sd
     done = 0
     while rows.size:
         h = (count - done) // 2
         rest = count - done - h
         # local CLT: a row keeps a candidate with chance ~ sqrt(j/(h+j)) e^(-z^2/2)
         predicted = math.sqrt(rest / (count - done)) * np.exp(-0.5 * z * z)
-        prefix = _accepted_prefixes(params, h, rest, targets, predicted, rng, budget)
-        out[rows, done : done + h] = prefix
+        prefix = _accepted_prefixes(params, h, rest, owner, targets, predicted, rngs, budgets)
+        flat[rows, done : done + h] = prefix
         targets -= prefix.sum(axis=1)
         done += h
+        if rest <= _LEAF:
+            _restart(flat, done, rest, rows, owner, targets, rngs, budgets)
+            return
         z = (targets - rest * params.mean) / math.sqrt(rest * params.variance)
-        fresh = np.abs(z) > _STRAY if rest > _LEAF else np.ones(rows.size, dtype=bool)
-        if not np.count_nonzero(fresh):
-            continue
-        for target in np.unique(targets[fresh]):
-            group = rows[fresh & (targets == target)]
-            out[group, done:] = _condition(group.size, rest, int(target), [rng], [budget])[0]
-        rows, targets, z = rows[~fresh], targets[~fresh], z[~fresh]
+        fresh = np.abs(z) > _STRAY
+        if np.count_nonzero(fresh):
+            _restart(flat, done, rest, rows[fresh], owner[fresh], targets[fresh], rngs, budgets)
+            stay = ~fresh
+            rows, owner, targets, z = rows[stay], owner[stay], targets[stay], z[stay]
+
+
+def _restart(
+    flat: np.ndarray,
+    done: int,
+    rest: int,
+    rows: np.ndarray,
+    owner: np.ndarray,
+    targets: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    budgets: Sequence[_Budget],
+) -> None:
+    """Condition the last ``rest`` coordinates of each row of ``flat`` in
+    ``rows``, owned by the streams ``owner`` (ascending), afresh on its
+    ``targets`` entry. Rows go by target, in ascending order, and within a
+    target by how many rows each stream brings, so each stream restarts its
+    rows in the order it would alone."""
+    values = sorted(set(targets.tolist()))
+    for target in values:
+        if len(values) == 1:
+            group, group_owner = rows, owner
+        else:
+            at = targets == target
+            group, group_owner = rows[at], owner[at]
+        streams, sizes = _runs(group_owner, len(rngs))
+        for k in sorted(set(sizes)):
+            same = [s for s, size in zip(streams, sizes) if size == k]
+            vecs = _condition(k, rest, target, [rngs[s] for s in same], [budgets[s] for s in same])
+            members = group if len(same) == len(streams) else group[np.isin(group_owner, same)]
+            flat[members, done:] = vecs.reshape(-1, rest)
 
 
 def _condition(
@@ -351,8 +431,12 @@ def _condition(
     at most ``_LEAF`` coordinates are drawn whole until their sum hits the
     total, rows with equal totals together. Every step is exact, so the
     vectors follow the conditional law up to float rounding in the tables.
-    Short vectors run the streams in lock-step, long ones split stream by
-    stream.
+
+    The streams run in lock-step at every length, each drawing exactly what
+    it would draw alone. A block fails as its first stream that fails
+    alone: lock-step can reach a later stream's limit before an earlier
+    one's, so when a long side runs out, every stream is put back where it
+    stood and the streams run again one at a time.
     """
     if total == count:
         return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
@@ -360,10 +444,23 @@ def _condition(
         return np.full((len(rngs), vectors, 1), total, dtype=np.int64)  # forced single vertex
     params = _rate(total / count)
     if count <= _LEAF:
+        # every stream draws batches of one size, so streams whose budgets
+        # start level run out in the same round and the first one raises; a
+        # leaf restarted inside a split leaves that to the split's rerun
         return _leaf_vectors(params, count, total, vectors, rngs, budgets)
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    for rows, rng, budget in zip(out, rngs, budgets):
-        _split(params, count, total, rng, budget, rows)
+    if len(rngs) == 1:
+        _split(params, count, total, rngs, budgets, out)
+        return out
+    saved = [(rng.bit_generator.state, vars(b).copy()) for rng, b in zip(rngs, budgets)]
+    try:
+        _split(params, count, total, rngs, budgets, out)
+    except AttemptsExhausted:
+        for rng, budget, (state, counters) in zip(rngs, budgets, saved):
+            rng.bit_generator.state = state
+            vars(budget).update(counters)
+        for s in range(len(rngs)):
+            _split(params, count, total, rngs[s : s + 1], budgets[s : s + 1], out[s : s + 1])
     return out
 
 
@@ -417,9 +514,9 @@ def sample_tp_edges(
 
     The one-graph-per-stream case of :func:`_paired_stubs`: every stream
     makes the draws that :func:`sample_tp` makes on it, with its own budget
-    of ``max_attempts`` candidate vectors per side, and short sides run the
-    streams in lock-step, so a batch of candidates costs one inverse-CDF
-    lookup for all of them.
+    of ``max_attempts`` candidate vectors per side, and the streams run in
+    lock-step, so a round of candidates costs one inverse-CDF lookup for all
+    of them.
     """
     left, right = _paired_stubs(m, n, t, 1, rngs, max_attempts)
     edges = np.empty((len(rngs), t, 2), dtype=np.int64)

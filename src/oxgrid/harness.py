@@ -13,9 +13,10 @@ seed. That function alone checks reps >= 0, threads >= 1 and seed >= 0; the
 sweeps add reps >= 1, and their graph points meet the ``tp`` precondition
 before anything is sampled.
 
-Replicates run in blocks of consecutive indices: a call caps the block
-size, and each point's replicates are cut into the fewest blocks under the
-cap, of near-equal size. With ``threads`` > 1 a call hands all of its
+Replicates run in lock-step blocks of consecutive indices, one rule for
+every experiment: each point's replicates are cut into the fewest blocks of
+near-equal size under a cap of ``_LOCK_STEP_CAP`` replicates and
+``_BLOCK_EDGES`` sampled edges. With ``threads`` > 1 a call hands all of its
 blocks, over every point, to one persistent pool of up to ``threads``
 worker processes in one map, and merges the rows back in index order. The
 pool is started on the first such call and kept for the next. A replicate
@@ -24,19 +25,19 @@ would not overlap them. A call whose replicates sample fewer than
 ``_POOL_MIN_EDGES`` edges in all runs in-process, as with ``threads=1``:
 there the pool's per-task cost outweighs the gain.
 
-The giant and connectivity sweeps use blocks of one: at their sizes each
-stream's long sides are conditioned one stream at a time anyway. The tree
-comparison's replicates are tiny graphs whose cost is numpy's fixed cost
-per call, so it runs blocks of up to ``_LOCK_STEP_CAP`` in lock-step: the
-block's streams draw one batch each, one inverse-CDF lookup maps them all,
-and one labelling of the block's disjoint union counts every replicate's
-trees. A round of a block costs about the same whatever its size, so 250
-replicates run as 125 + 125. The conditioned distinct-edge estimates
-sample their blocks the same way and test every replicate's edges for
-repeats with one sort. Each replicate still draws from its own stream
-exactly what it would draw alone, so its graph does not depend on the
-block size or the worker count; drawing a block from one shared stream
-would tie every replicate's graph to both.
+A block of ``tp`` graphs is sampled with one :func:`sample_tp_edges` call:
+its streams draw one batch each per round, and one inverse-CDF lookup maps
+them all, on short sides and long ones. A round of a block costs about the
+same whatever its size, so 250 tree replicates run as 125 + 125, and a
+giant or connectivity point of a few thousand vertices a side runs as one
+block.
+The tree comparison then counts every replicate's trees with one labelling
+of the block's disjoint union, the conditioned distinct-edge estimates test
+every replicate's edges for repeats with one sort, and the giant and
+connectivity sweeps label each graph on its own. Each replicate still draws
+from its own stream exactly what it would draw alone, so its graph does not
+depend on the block size or the worker count; drawing a block from one
+shared stream would tie every replicate's graph to both.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ import numpy as np
 
 from . import theory
 from .errors import InputError
-from .generators import _check_min_degree, sample_gr, sample_tp, sample_tp_edges
-from .graph import block_tree_census, components, is_connected, tree_census
+from .generators import _check_min_degree, sample_gr, sample_tp_edges
+# perfbench/layers.py looks sample_tp and split_stream up here to trace
+# them, and perfbench/run.py checks that sample_tp is the generators' own
+from .generators import sample_tp  # noqa: F401
+from .graph import BipartiteMultigraph, block_tree_census, components, is_connected, tree_census
 from .ingest import Dataset, fixture_names, load_fixture
-# perfbench/layers.py looks split_stream up here to trace it
 from .rng import split_stream, split_streams  # noqa: F401
 
 __all__ = [
@@ -74,16 +77,26 @@ __all__ = [
 ]
 
 RELATIVE_TOLERANCE = 0.03  # published-vs-recomputed agreement threshold
-# most replicates per lock-step block (tree comparison, conditioned
-# distinct-edge estimates). A round of a block costs about 20 numpy calls
-# however many streams it holds, so a few large blocks beat many small
-# ones. On a 2-vCPU VM shared with other tenants, 250 replicates of each
+# most replicates per lock-step block. A round of a block costs about 20
+# numpy calls however many streams it holds, so a few large blocks beat many
+# small ones. On a 2-vCPU VM shared with other tenants, 250 replicates of each
 # genome fixture took, against blocks of 32, about 25% less CPU time at a
 # cap of 64, 30-45% less at 128 and 40-50% less at 256 (4 alternated rounds
 # of 40 such units in one process), and the process peaked at 38.3, 38.5,
 # 39.0 and 40.1 MB. 128 runs them as 125 + 125 for 0.7 MB above blocks of
 # 32, where 256 costs 1.8 MB
 _LOCK_STEP_CAP = 128
+# most sampled edges (the sum of t over its replicates) per lock-step block,
+# under the cap above. A block's arrays take about 33 bytes per edge
+# (tracemalloc peak of a giant or connectivity block job, sampling and
+# labelling), so this bounds a block near 9 MB. On a 2-vCPU VM shared with
+# other tenants, sample_tp_edges cost least per graph near this many edges
+# in blocks of 1 to 90 (4 alternated rounds each): at t = 5787, 0.55 ms in
+# blocks of 45 against 0.97 alone and 0.68 in blocks of 90; at t = 13,270,
+# 0.92 ms in blocks of 19 against 0.98 in blocks of 38; at t = 36,841,
+# 1.52 ms in blocks of 7 against 1.95 alone and 1.92 in blocks of 28, where
+# a block of 100 would take some 120 MB
+_BLOCK_EDGES = 1 << 18
 # sampled edges (the sum of t over a call's replicates) below which a call
 # runs in-process whatever ``threads`` asks. On a 2-vCPU VM shared with other
 # tenants, in seven sets of 16-20 alternated pairs of one-point giant sweeps
@@ -229,22 +242,27 @@ def _run_block(
     return rows
 
 
+def _block_cap(t: int) -> int:
+    """Most replicates of t edges each in one lock-step block."""
+    return min(_LOCK_STEP_CAP, max(1, _BLOCK_EDGES // max(t, 1)))
+
+
 def _run_replicates(
     points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int, int]],
     reps: int,
     threads: int = 1,
-    block: int = 1,
 ) -> list[list[dict]]:
     """For each ``(job, t, seed)`` of ``points``, the rows of its replicates
-    0..reps-1 in index order. A job maps the streams of up to ``block``
-    consecutive replicates, as :func:`_block_bounds` cuts them, to one
-    picklable row each, and must itself be picklable: a module-level
-    function or a ``partial`` of one. Replicate i of a point runs on
-    ``split_stream(seed, i)`` whatever the block and worker counts. With
-    ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` edges over all
-    replicates, t each, every block goes to the process pool in one map.
-    Raises InputError for reps < 0, threads < 1 or a negative seed before
-    any replicate runs: these run rules live here alone."""
+    0..reps-1 in index order. A job maps the streams of a block of
+    consecutive replicates to one picklable row each, and must itself be
+    picklable: a module-level function or a ``partial`` of one. Each point's
+    replicates are cut by :func:`_block_bounds` under :func:`_block_cap` of
+    its t. Replicate i of a point runs on ``split_stream(seed, i)`` whatever
+    the block and worker counts. With ``threads`` > 1 and at least
+    ``_POOL_MIN_EDGES`` edges over all replicates, t each, every block goes
+    to the process pool in one map. Raises InputError for reps < 0,
+    threads < 1 or a negative seed before any replicate runs: these run
+    rules live here alone."""
     if reps < 0:
         raise InputError(f"reps must be >= 0, got {reps}")
     if threads < 1:
@@ -252,9 +270,11 @@ def _run_replicates(
     for _, _, seed in points:
         if seed < 0:
             raise InputError(f"seed must be >= 0, got {seed}")
-    bounds = _block_bounds(reps, block)
-    spans = list(zip(bounds, bounds[1:]))
-    tasks = [(job, seed, *span) for job, _, seed in points for span in spans]
+    tasks, owners = [], []  # each block and the index of its point
+    for k, (job, t, seed) in enumerate(points):
+        bounds = _block_bounds(reps, _block_cap(t))
+        tasks += [(job, seed, *span) for span in zip(bounds, bounds[1:])]
+        owners += [k] * (len(bounds) - 1)
     workers = 1
     if threads > 1 and reps * sum(t for _, t, _ in points) >= _POOL_MIN_EDGES:
         workers = _pool_workers(threads, len(tasks))
@@ -268,11 +288,10 @@ def _run_replicates(
         except BrokenProcessPool:
             _close_pool()  # a worker died; the next call starts a new pool
             raise
-    per_point = len(spans)  # blocks per point
-    return [
-        [row for rows in blocks[k * per_point : (k + 1) * per_point] for row in rows]
-        for k in range(len(points))
-    ]
+    per_point: list[list[dict]] = [[] for _ in points]
+    for k, rows in zip(owners, blocks):
+        per_point[k] += rows
+    return per_point
 
 
 # ----------------------------------------------------------------------
@@ -310,12 +329,12 @@ def run_tree_comparison(
 
     Replicate i of dataset d counts the trees of the graph that
     ``sample_tp(m, n, t, split_stream(seed + d, i))`` returns. The replicates
-    run in near-equal lock-step blocks of up to ``_LOCK_STEP_CAP``
-    (:func:`sample_tp_edges` and :func:`block_tree_census`), the blocks of
-    all datasets on the process pool when ``threads`` > 1; every stream stays
-    with its replicate, so the report is the same for every ``threads``. With
-    one replicate ``sim_se`` is None, as ``sim_mean`` is with none. Raises
-    InputError for reps < 0, seed < 0 or threads < 1.
+    run in near-equal lock-step blocks (:func:`sample_tp_edges` and
+    :func:`block_tree_census`), the blocks of all datasets on the process
+    pool when ``threads`` > 1; every stream stays with its replicate, so the
+    report is the same for every ``threads``. With one replicate ``sim_se``
+    is None, as ``sim_mean`` is with none. Raises InputError for reps < 0,
+    seed < 0 or threads < 1.
     """
     if datasets is None:
         datasets = [load_fixture(name) for name in fixture_names()]
@@ -328,7 +347,6 @@ def run_tree_comparison(
         [(partial(_tree_rows, m, n, t, shapes), t, seed + d) for d, (m, n, t) in enumerate(sizes)],
         reps,
         threads,
-        block=_LOCK_STEP_CAP,
     )
     shape_i, shape_j = np.array(shapes).T
     max_i = int(shape_i.max())
@@ -389,10 +407,11 @@ def run_tree_comparison(
 
 
 def _giant_rows(m: int, n: int, t: int, rngs: list[np.random.Generator]) -> list[dict]:
-    """Per stream, the largest components of ``sample_tp(m, n, t, rng)``."""
+    """Per stream, the largest components of ``sample_tp(m, n, t, rng)``,
+    the streams sampled as one lock-step block."""
     rows = []
-    for rng in rngs:
-        summary = components(sample_tp(m, n, t, rng))
+    for edges in sample_tp_edges(m, n, t, rngs):
+        summary = components(BipartiteMultigraph(m, n, edges))
         big = summary.largest
         rows.append(
             {
@@ -477,8 +496,12 @@ def aggregate_giant_rows(rows: list[dict]) -> list[dict]:
 
 
 def _connectivity_rows(m: int, n: int, t: int, rngs: list[np.random.Generator]) -> list[dict]:
-    """Per stream, whether ``sample_tp(m, n, t, rng)`` is connected."""
-    return [{"connected": int(is_connected(sample_tp(m, n, t, rng)))} for rng in rngs]
+    """Per stream, whether ``sample_tp(m, n, t, rng)`` is connected, the
+    streams sampled as one lock-step block."""
+    return [
+        {"connected": int(is_connected(BipartiteMultigraph(m, n, edges)))}
+        for edges in sample_tp_edges(m, n, t, rngs)
+    ]
 
 
 def sweep_connectivity(
@@ -567,7 +590,6 @@ def _distinct_estimates(
         ],
         reps,
         threads,
-        block=_LOCK_STEP_CAP,
     )
     return [_proportion(sum(r["distinct"] for r in raw), reps) for raw in sims if raw]
 

@@ -24,14 +24,15 @@ for seeds up to 2^128 + 11 and indices up to 2^64 + 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InputError
 
-__all__ = ["make_stream", "split_stream", "split_streams"]
+__all__ = ["make_stream", "split_stream", "split_streams", "stream_uniforms"]
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -146,4 +147,21 @@ def split_streams(seed: int, start: int, stop: int) -> list[np.random.Generator]
         states = np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64, copy=False)
         out += [np.random.Generator(np.random.PCG64(_PCGSeed(row))) for row in states]
         start = end
+    return out
+
+
+def stream_uniforms(rngs: Sequence[np.random.Generator], sizes: Sequence[int]) -> np.ndarray:
+    """``sizes[r]`` uniforms on [0, 1) from each stream ``rngs[r]``, end to
+    end in one flat array: run r is exactly ``rngs[r].random(sizes[r])``."""
+    if len(rngs) == 1:
+        return rngs[0].random(sizes[0])
+    out = np.empty(sum(sizes))
+    if sizes and sizes.count(sizes[0]) == len(sizes):
+        # equal runs are the rows of one view, cheaper than a slice each
+        runs = out.reshape(len(sizes), sizes[0])
+    else:
+        ends = accumulate(sizes)
+        runs = [out[end - size : end] for size, end in zip(sizes, ends)]
+    for run, rng in zip(runs, rngs):
+        rng.random(out=run)
     return out

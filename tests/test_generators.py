@@ -276,6 +276,7 @@ def test_conditioning_requests_stay_linear_in_count(monkeypatch):
     t = 1_930_000
     g = sample_tp(n, n, t, make_stream(1))
     left, right = degrees(g)
+    assert requests[0] == n // 2  # the spy sees the first prefix batch
     assert max(requests) <= n
     assert g.t == t
     assert left.min() >= 1 and right.min() >= 1
@@ -299,6 +300,7 @@ def test_strayed_targets_start_afresh(monkeypatch):
         draws.clear()
         budget = generators._Budget(2000, 8294, 10**6)
         generators._condition(1, 2000, 8294, [split_stream(96, i)], [budget])
+        assert draws[0][1] == 1000  # the spy sees the first prefix batch
         runs = [len(list(run)) for _, run in itertools.groupby(draws)]
         assert max(runs) <= 150
 
@@ -383,9 +385,9 @@ def test_tp_edges_budget_failure_is_informative():
         assert field in message
 
 
-# (vectors, count, total): short sides at a few rates, and one longer than
-# _LEAF, which conditions stream by stream, each on its own budget
-CONDITION_SIZES = [(5, 22, 44), (40, 3, 7), (12, 30, 60), (3, 70, 150)]
+# (vectors, count, total): short sides at a few rates, and two longer than
+# _LEAF, which split in lock-step, one of them above the inverse-CDF range
+CONDITION_SIZES = [(5, 22, 44), (40, 3, 7), (12, 30, 60), (3, 70, 150), (2, 70, 3000)]
 
 
 def _condition_alone(vectors, count, total, seed, i, max_attempts):
@@ -412,6 +414,40 @@ def test_lock_step_rows_match_one_stream_calls(vectors, count, total):
             rows = generators.sample_truncated(params, split_stream(91, i), 4000 * count)
             rows = rows.reshape(-1, count)
             assert np.array_equal(block[i], rows[rows.sum(axis=1) == total][:vectors])
+
+
+@pytest.mark.parametrize("vectors", [1, 3])
+@pytest.mark.parametrize("stray", [0.0, math.inf])
+def test_lock_step_split_matches_one_stream_calls(monkeypatch, stray, vectors):
+    # with the leaf at 2 every side splits over several levels and restarts
+    # at the leaf (stray inf) or after every level (stray 0); each stream
+    # must draw and spend exactly what it does alone
+    monkeypatch.setattr(generators, "_LEAF", 2)
+    monkeypatch.setattr(generators, "_STRAY", stray)
+    count, total, streams = 12, 30, 16
+    alone, alone_budgets = [], []
+    for i in range(streams):
+        budget = generators._Budget(count, total, 10**6)
+        alone.append(
+            generators._condition(vectors, count, total, [split_stream(93, i)], [budget])[0]
+        )
+        alone_budgets.append(vars(budget))
+    restarts = []
+    condition = generators._condition
+
+    def watch(vectors, count, total, rngs, budgets):
+        restarts.append(len(rngs))
+        return condition(vectors, count, total, rngs, budgets)
+
+    monkeypatch.setattr(generators, "_condition", watch)
+    rngs = [split_stream(93, i) for i in range(streams)]
+    budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
+    block = condition(vectors, count, total, rngs, budgets)
+    for i in range(streams):
+        assert np.array_equal(block[i], alone[i])
+        assert vars(budgets[i]) == alone_budgets[i]
+    # every nested call is a restart on one target: some hold several streams
+    assert max(restarts) >= 2
 
 
 # at (8, 22, 44) several streams run out in the same round, with different

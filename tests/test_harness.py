@@ -152,6 +152,42 @@ def test_tree_comparison_does_not_depend_on_the_block_cap(monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_sweeps_do_not_depend_on_the_block_cut(monkeypatch):
+    # 13 replicates run one to a block, in blocks of 4-5, as one block, and
+    # in blocks of 2-5 under an edge budget of 4,000; every side is longer
+    # than _LEAF, so each block splits its sides in lock-step
+    giant_grid = [(300, 300, 580), (200, 300, 700)]
+    runs = []
+    for cap, edges in ((1, 1 << 18), (5, 1 << 18), (128, 1 << 18), (128, 4_000)):
+        monkeypatch.setattr(harness, "_LOCK_STEP_CAP", cap)
+        monkeypatch.setattr(harness, "_BLOCK_EDGES", edges)
+        runs.append(
+            (
+                sweep_giant(giant_grid, reps=13, seed=3),
+                sweep_connectivity(200, 300, [1.0, 1.5], reps=13, seed=3),
+            )
+        )
+    assert harness._block_bounds(13, harness._block_cap(1119)) == [0, 2, 5, 7, 10, 13]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def test_six_replicates_of_a_sweep_point_are_one_block(monkeypatch):
+    # a block's lock-step draws serve all its replicates, so a point runs
+    # as the fewest blocks its edge budget allows: here one
+    sizes = []
+
+    def counting(m, n, t, rngs):
+        sizes.append(len(rngs))
+        return sample_tp_edges(m, n, t, rngs)
+
+    monkeypatch.setattr(harness, "sample_tp_edges", counting)
+    sweep_giant([(3000, 3000, 5792)], reps=6, seed=1)
+    assert sizes == [6]
+    sizes.clear()
+    sweep_connectivity(2000, 2000, [1.6], reps=4, seed=1)
+    assert sizes == [4]
+
+
 def test_tree_comparison_runs_250_replicates_as_two_blocks(monkeypatch):
     # the per-round cost of a block is mostly fixed, so 250 replicates must
     # run as 125 + 125, not as blocks of 32
@@ -307,15 +343,23 @@ def _dying_job(rngs):
     os._exit(1)
 
 
+# replicates of _BLOCK_EDGES edges each run one to a block, so four of them
+# are four pool tasks; and a two-point giant sweep is two
+_ONE_PER_BLOCK = harness._BLOCK_EDGES
+_TWO_POINTS = [(3000, 3000, 5792), (3000, 3000, 4185)]
+
+
 def test_pooled_errors_reach_the_caller_with_their_type():
+    assert harness._block_cap(_ONE_PER_BLOCK) == 1
+    assert _ONE_PER_BLOCK >= harness._POOL_MIN_EDGES
     with pytest.raises(AttemptsExhausted, match="no candidate accepted"):
-        harness._run_replicates([(_exhausted_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
+        harness._run_replicates([(_exhausted_job, _ONE_PER_BLOCK, 0)], 4, threads=2)
     # t < max(m, n) fails inside sample_tp_edges, in a worker: 129 replicates
     # are two lock-step blocks, so two tasks
     with pytest.raises(InputError, match="t=2000 < max"):
         estimate_distinct_probability(3000, 3000, 2000, reps=129, conditioned=True, threads=2)
-    grid = [(3000, 3000, 5792)]
-    assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
+    pooled = sweep_giant(_TWO_POINTS, reps=6, seed=4, threads=2)
+    assert pooled == sweep_giant(_TWO_POINTS, reps=6, seed=4)
 
 
 @needs_pool
@@ -323,10 +367,11 @@ def test_a_dead_worker_breaks_only_the_call_it_was_running():
     from concurrent.futures.process import BrokenProcessPool
 
     with pytest.raises(BrokenProcessPool):
-        harness._run_replicates([(_dying_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
+        harness._run_replicates([(_dying_job, _ONE_PER_BLOCK, 0)], 4, threads=2)
     assert harness._pool is None
-    grid = [(3000, 3000, 5792)]
-    assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
+    pooled = sweep_giant(_TWO_POINTS, reps=6, seed=4, threads=2)
+    assert harness._pool is not None
+    assert pooled == sweep_giant(_TWO_POINTS, reps=6, seed=4)
 
 
 @pytest.mark.parametrize(

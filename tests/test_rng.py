@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oxgrid.errors import InputError
-from oxgrid.rng import split_stream, split_streams
+from oxgrid.rng import split_stream, split_streams, stream_uniforms
 
 # one-, two-, three- and five-word seeds; one-, two- and three-word indices,
 # with the edges where the word count changes
@@ -40,3 +40,10 @@ def test_split_streams_of_an_empty_range_is_empty():
 def test_negative_seeds_and_starts_are_input_errors(seed, start):
     with pytest.raises(InputError):
         split_streams(seed, start, start + 3)
+
+
+@pytest.mark.parametrize("sizes", [[5, 5, 5], [3, 0, 7, 1], [0, 0], [4], []])
+def test_stream_uniforms_are_each_streams_own_draws_end_to_end(sizes):
+    u = stream_uniforms(split_streams(7, 0, len(sizes)), sizes)
+    alone = [split_stream(7, i).random(k) for i, k in enumerate(sizes)]
+    assert np.array_equal(u, np.concatenate([np.empty(0), *alone]))
