@@ -28,9 +28,8 @@ there the pool's per-task cost outweighs the gain.
 A block of ``tp`` graphs is sampled with one :func:`sample_tp_edges` call:
 its streams draw one batch each per round, and one inverse-CDF lookup maps
 them all, on short sides and long ones. A round of a block costs about the
-same whatever its size, so 250 tree replicates run as 125 + 125, and a
-giant or connectivity point of a few thousand vertices a side runs as one
-block.
+same whatever its size, so 250 tree replicates run as 125 + 125, and 6
+giant replicates at 3000 vertices a side run as one block.
 The tree comparison then counts every replicate's trees with one labelling
 of the block's disjoint union, the conditioned distinct-edge estimates test
 every replicate's edges for repeats with one sort, and the giant and
