@@ -298,16 +298,20 @@ def sample_truncated(
 
 
 def sample_truncated_streams(
-    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], sizes: Sequence[int]
+    params: TruncatedPoissonParams,
+    rngs: Sequence[np.random.Generator],
+    sizes: int | Sequence[int],
 ) -> np.ndarray:
-    """``sizes[r]`` samples from each stream ``rngs[r]``, end to end in one
-    flat array: its run r is exactly ``sample_truncated(params, rngs[r],
-    sizes[r])``.
+    """``sizes[r]`` samples from each stream ``rngs[r]``, or ``sizes`` from
+    each when it is an int, end to end in one flat array: its run r is
+    exactly ``sample_truncated(params, rngs[r], sizes[r])``.
 
     At rate <= 30 every stream draws its uniforms into one array, which one
     inverse-CDF lookup maps; above, each stream samples on its own.
     """
     if params.rate > _INVERSE_CDF_MAX_RATE:
+        if isinstance(sizes, (int, np.integer)):
+            sizes = [sizes] * len(rngs)
         return np.concatenate([sample_truncated(params, rng, k) for rng, k in zip(rngs, sizes)])
     return _inverse_cdf(params.rate, stream_uniforms(rngs, sizes)).astype(np.int64, copy=False)
 

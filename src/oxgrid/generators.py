@@ -210,14 +210,15 @@ def _runs(owner: np.ndarray, streams: int) -> tuple[list[int], list[int]]:
 
 
 def _draws(
-    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], sizes: Sequence[int]
+    params: TruncatedPoissonParams,
+    rngs: Sequence[np.random.Generator],
+    sizes: int | Sequence[int],
 ) -> np.ndarray:
-    """``sizes[r]`` truncated-Poisson values from each stream ``rngs[r]``,
-    end to end in one flat array."""
+    """:func:`sample_truncated_streams`, with one stream drawing through this
+    module's ``sample_truncated``, where tests and profilers can watch it."""
     if len(rngs) == 1:
-        # one stream draws through this module's sample_truncated, where
-        # tests and profilers can watch it
-        return sample_truncated(params, rngs[0], sizes[0])
+        size = sizes if isinstance(sizes, (int, np.integer)) else sizes[0]
+        return sample_truncated(params, rngs[0], size)
     return sample_truncated_streams(params, rngs, sizes)
 
 
@@ -311,7 +312,7 @@ def _leaf_vectors(
     while streams:
         for s in streams:
             budgets[s].spend(batch, expected)
-        draws = _draws(params, open_rngs, [batch * count] * len(streams))
+        draws = _draws(params, open_rngs, batch * count)
         draws = draws.reshape(len(streams), batch, count)
         # einsum sums a short last axis several times faster than sum
         hits = np.einsum("ijk->ij", draws) == target
@@ -327,9 +328,9 @@ def _leaf_vectors(
         rows[slot.ravel()[take]] = draws.reshape(-1, count)[take]
         fill = slot[:, -1] + 1
         short = fill < end
-        if not short.any():
-            break
         lacks = short.tolist()
+        if not any(lacks):
+            break
         streams, open_rngs = list(compress(streams, lacks)), list(compress(open_rngs, lacks))
         fill, end = fill[short], end[short]
     return out

@@ -150,15 +150,19 @@ def split_streams(seed: int, start: int, stop: int) -> list[np.random.Generator]
     return out
 
 
-def stream_uniforms(rngs: Sequence[np.random.Generator], sizes: Sequence[int]) -> np.ndarray:
-    """``sizes[r]`` uniforms on [0, 1) from each stream ``rngs[r]``, end to
-    end in one flat array: run r is exactly ``rngs[r].random(sizes[r])``."""
+def stream_uniforms(
+    rngs: Sequence[np.random.Generator], sizes: int | Sequence[int]
+) -> np.ndarray:
+    """``sizes[r]`` uniforms on [0, 1) from each stream ``rngs[r]``, or
+    ``sizes`` from each when it is an int, end to end in one flat array: run
+    r is exactly ``rngs[r].random(sizes[r])``."""
+    equal = isinstance(sizes, (int, np.integer))
     if len(rngs) == 1:
-        return rngs[0].random(sizes[0])
-    out = np.empty(sum(sizes))
-    if sizes and sizes.count(sizes[0]) == len(sizes):
-        # equal runs are the rows of one view, cheaper than a slice each
-        runs = out.reshape(len(sizes), sizes[0])
+        return rngs[0].random(sizes if equal else sizes[0])
+    out = np.empty(len(rngs) * sizes if equal else sum(sizes))
+    if equal:
+        # the rows of one view cost less than a slice each
+        runs = out.reshape(len(rngs), sizes)
     else:
         ends = accumulate(sizes)
         runs = [out[end - size : end] for size, end in zip(sizes, ends)]

@@ -42,8 +42,13 @@ def test_negative_seeds_and_starts_are_input_errors(seed, start):
         split_streams(seed, start, start + 3)
 
 
-@pytest.mark.parametrize("sizes", [[5, 5, 5], [3, 0, 7, 1], [0, 0], [4], []])
-def test_stream_uniforms_are_each_streams_own_draws_end_to_end(sizes):
-    u = stream_uniforms(split_streams(7, 0, len(sizes)), sizes)
-    alone = [split_stream(7, i).random(k) for i, k in enumerate(sizes)]
+@pytest.mark.parametrize(
+    "streams,sizes",
+    [(3, [5, 5, 5]), (4, [3, 0, 7, 1]), (2, [0, 0]), (1, [4]), (0, []), (3, 5), (1, 4), (2, 0),
+     (3, np.int64(6))],
+)
+def test_stream_uniforms_are_each_streams_own_draws_end_to_end(streams, sizes):
+    u = stream_uniforms(split_streams(7, 0, streams), sizes)
+    counts = [int(sizes)] * streams if np.ndim(sizes) == 0 else sizes
+    alone = [split_stream(7, i).random(k) for i, k in enumerate(counts)]
     assert np.array_equal(u, np.concatenate([np.empty(0), *alone]))
