@@ -263,10 +263,7 @@ def _accepted_prefixes(
             for s, k in zip(streams, sizes):
                 budgets[s].accepted += k
             return out
-        if len(streams) == 1:
-            hits = [kept]
-        else:
-            hits = np.add.reduceat(keep, np.cumsum([0] + sizes[:-1]), dtype=np.intp).tolist()
+        hits = np.add.reduceat(keep, np.cumsum([0] + sizes[:-1]), dtype=np.intp).tolist()
         for s, accepted in zip(streams, hits):
             budgets[s].accepted += accepted
         sizes = [k - accepted for k, accepted in zip(sizes, hits)]
@@ -392,13 +389,9 @@ def _restart(
     ``targets`` entry. Rows go by target, in ascending order, and within a
     target by how many rows each stream brings, so each stream restarts its
     rows in the order it would alone."""
-    values = sorted(set(targets.tolist()))
-    for target in values:
-        if len(values) == 1:
-            group, group_owner = rows, owner
-        else:
-            at = targets == target
-            group, group_owner = rows[at], owner[at]
+    for target in sorted(set(targets.tolist())):
+        at = targets == target
+        group, group_owner = rows[at], owner[at]
         streams, sizes = _runs(group_owner, len(rngs))
         for k in sorted(set(sizes)):
             same = [s for s, size in zip(streams, sizes) if size == k]

@@ -324,12 +324,12 @@ def test_malformed_sweep_config_is_a_validation_error(capsys, tmp_path, kind, co
     assert err.startswith("error:")
 
 
-# each config samples more edges than harness._POOL_MIN_EDGES in two or
-# more lock-step blocks, so threads 2 and 3 run on the worker processes
+# each config samples more edges than harness._POOL_MIN_EDGES, so threads
+# 2 and 3 run on the worker processes
 @pytest.mark.parametrize(
     "kind,config",
     [
-        ("giant", {"grid": [[3000, 3000, 5792], [3000, 3000, 4185]], "reps": 6}),
+        ("giant", {"grid": [[3000, 3000, 5792]], "reps": 6}),
         ("connectivity", {"m": 1000, "n": 1000, "grid": [1.0, 1.5], "reps": 4}),
         ("count-ratio", {"grid": [[300, 300, 580], [500, 500, 965]], "reps": 24}),
     ],
@@ -363,10 +363,8 @@ sys.exit(code)
 @pytest.mark.skipif(harness._pool_workers(2, 2) < 2, reason="one usable CPU")
 def test_python_m_oxgrid_leaves_no_worker_running(capsys, tmp_path):
     path = tmp_path / "cfg.json"
-    # each point's six replicates are one lock-step block: two points make
-    # two pool tasks
-    grid = [[3000, 3000, 5792], [3000, 3000, 4185]]
-    path.write_text(json.dumps({"kind": "giant", "grid": grid, "reps": 6, "seed": 2}))
+    path.write_text(json.dumps({"kind": "giant", "grid": [[3000, 3000, 5792]], "reps": 6,
+                                "seed": 2}))
     argv = ["sweep", "giant", "--config", str(path)]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -188,6 +188,31 @@ def test_six_replicates_of_a_sweep_point_are_one_block(monkeypatch):
     assert sizes == [4]
 
 
+def test_a_pooled_sweep_makes_a_block_for_each_worker(monkeypatch):
+    # one block of 45 would leave the second worker idle; two points of six
+    # replicates are already a block each
+    sizes = []
+
+    def counting(m, n, t, rngs):
+        sizes.append(len(rngs))
+        return sample_tp_edges(m, n, t, rngs)
+
+    class InProcess:  # the pool's map, run here where the spy sees it
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "sample_tp_edges", counting)
+    monkeypatch.setattr(harness, "_pool_workers", lambda threads, reps: min(threads, reps))
+    monkeypatch.setattr(harness, "_executor", lambda workers: InProcess)
+    point = (3000, 3000, 5792)
+    assert 45 * point[2] >= harness._POOL_MIN_EDGES
+    for threads, blocks in ((1, [45]), (2, [22, 23]), (3, [15, 15, 15])):
+        sweep_giant([point], reps=45, seed=1, threads=threads)
+        assert sizes == blocks
+        sizes.clear()
+    sweep_giant([point, (3000, 3000, 4185)], reps=6, seed=1, threads=2)
+    assert sizes == [6, 6]
+
+
 def test_tree_comparison_runs_250_replicates_as_two_blocks(monkeypatch):
     # the per-round cost of a block is mostly fixed, so 250 replicates must
     # run as 125 + 125, not as blocks of 32
@@ -343,23 +368,15 @@ def _dying_job(rngs):
     os._exit(1)
 
 
-# replicates of _BLOCK_EDGES edges each run one to a block, so four of them
-# are four pool tasks; and a two-point giant sweep is two
-_ONE_PER_BLOCK = harness._BLOCK_EDGES
-_TWO_POINTS = [(3000, 3000, 5792), (3000, 3000, 4185)]
-
-
 def test_pooled_errors_reach_the_caller_with_their_type():
-    assert harness._block_cap(_ONE_PER_BLOCK) == 1
-    assert _ONE_PER_BLOCK >= harness._POOL_MIN_EDGES
     with pytest.raises(AttemptsExhausted, match="no candidate accepted"):
-        harness._run_replicates([(_exhausted_job, _ONE_PER_BLOCK, 0)], 4, threads=2)
+        harness._run_replicates([(_exhausted_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
     # t < max(m, n) fails inside sample_tp_edges, in a worker: 129 replicates
     # are two lock-step blocks, so two tasks
     with pytest.raises(InputError, match="t=2000 < max"):
         estimate_distinct_probability(3000, 3000, 2000, reps=129, conditioned=True, threads=2)
-    pooled = sweep_giant(_TWO_POINTS, reps=6, seed=4, threads=2)
-    assert pooled == sweep_giant(_TWO_POINTS, reps=6, seed=4)
+    grid = [(3000, 3000, 5792)]
+    assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
 
 
 @needs_pool
@@ -367,11 +384,10 @@ def test_a_dead_worker_breaks_only_the_call_it_was_running():
     from concurrent.futures.process import BrokenProcessPool
 
     with pytest.raises(BrokenProcessPool):
-        harness._run_replicates([(_dying_job, _ONE_PER_BLOCK, 0)], 4, threads=2)
+        harness._run_replicates([(_dying_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
     assert harness._pool is None
-    pooled = sweep_giant(_TWO_POINTS, reps=6, seed=4, threads=2)
-    assert harness._pool is not None
-    assert pooled == sweep_giant(_TWO_POINTS, reps=6, seed=4)
+    grid = [(3000, 3000, 5792)]
+    assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
 
 
 @pytest.mark.parametrize(
