@@ -3,8 +3,11 @@
 Graphs are immutable after construction: ``m`` left vertices, ``n`` right
 vertices, and an ordered sequence of edge slots that may repeat (parallel
 edges are preserved, never deduplicated). Components come from one
-vectorized hook-and-pointer-jump labelling and are summarised as parallel
-numpy arrays, so sweeps can run millions of analyses.
+vectorized hook-and-pointer-jump labelling, whose rounds carry only the
+edges that still join two labels, and are summarised as parallel numpy
+arrays, so sweeps can run millions of analyses. :func:`is_connected` runs
+the same labelling and stops at the first round that leaves one component
+complete while others remain.
 """
 
 from __future__ import annotations
@@ -133,27 +136,41 @@ class ComponentSummary:
         return int(np.count_nonzero((self.edges == 0) & (self.right == 1)))
 
 
-def _component_labels(m: int, n: int, edges: np.ndarray) -> np.ndarray:
+def _component_labels(
+    m: int, n: int, edges: np.ndarray, early_out: bool = False
+) -> np.ndarray | None:
     """Smallest vertex of each vertex's component (right vertex j is m + j).
 
     Hook-and-pointer-jump labelling (Shiloach & Vishkin 1982): every edge
     whose endpoints carry different labels hooks the larger label under the
     smaller, then labels jump to their labels' labels until stable. Labels
     only decrease and stay inside their component, so a component's smallest
-    vertex is its one fixed point.
+    vertex is its one fixed point. An edge whose ends share a label keeps
+    sharing it, so each round keeps only the cross edges, by one index.
+
+    With ``early_out``, None as soon as a root that no cross edge touches
+    coexists with cross edges: its component is complete and another
+    remains, so the graph is not connected.
     """
-    label = np.arange(m + n)
-    u = edges[:, 0]
+    ids = np.arange(m + n)
+    label = ids.copy()
+    u = np.ascontiguousarray(edges[:, 0])
     v = edges[:, 1] + m
     while True:
         lu = label[u]
         lv = label[v]
-        # an edge whose ends share a label keeps sharing it
-        cross = lu != lv
-        if not cross.any():
+        cross = np.flatnonzero(lu != lv)
+        if not cross.size:
             return label
-        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        u, v, lu, lv = u.take(cross), v.take(cross), lu.take(cross), lv.take(cross)
+        lo = np.minimum(lu, lv)
+        np.minimum.at(label, np.maximum(lu, lv), lo)
+        if early_out:
+            # the roots that no hook moved and no edge hooks onto
+            done = label == ids
+            done[lo] = False
+            if done.any():
+                return None
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
@@ -247,15 +264,16 @@ def is_connected(g: BipartiteMultigraph) -> bool:
     """True iff there is exactly one component and no isolated vertex.
 
     The empty graph (m = n = 0) is connected by convention; a lone
-    degree-zero vertex is not.
+    degree-zero vertex is not. The labelling stops at the first round that
+    leaves a component complete while others still join up, so a graph with
+    a small component is told apart in a round or two.
     """
     if g.m + g.n == 0:
         return True
-    if g.t == 0:
+    if g.t == 0 or g.t < g.m + g.n - 1:
         return False
-    if g.t < g.m + g.n - 1:
-        return False
-    return not _component_labels(g.m, g.n, g.edges).any()
+    label = _component_labels(g.m, g.n, g.edges, early_out=True)
+    return label is not None and not label.any()
 
 
 def degrees(g: BipartiteMultigraph) -> tuple[np.ndarray, np.ndarray]:

@@ -18,13 +18,14 @@ every experiment: each point's replicates are cut into the fewest blocks of
 near-equal size under a cap of ``_LOCK_STEP_CAP`` replicates and
 ``_BLOCK_EDGES`` sampled edges. With ``threads`` > 1 a call hands all of its
 blocks, over every point, to one persistent pool of up to ``threads``
-worker processes in one map, and merges the rows back in index order; a
-pooled call's points are cut into at least one block per worker. The
-pool is started on the first such call and kept for the next. A replicate
-is dozens of small numpy calls that hold the interpreter lock, so threads
-would not overlap them. A call whose replicates sample fewer than
-``_POOL_MIN_EDGES`` edges in all runs in-process, as with ``threads=1``:
-there the pool's per-task cost outweighs the gain.
+worker processes in one map, the points of the largest t first, and merges
+the rows back in index order; a pooled call's points are cut into at least
+one block per worker. The pool is started on the first such call and kept
+for the next. A replicate is dozens of small numpy calls that hold the
+interpreter lock, so threads would not overlap them. A call whose
+replicates sample fewer than ``_POOL_MIN_EDGES`` edges in all runs
+in-process, as with ``threads=1``: there the pool's per-task cost
+outweighs the gain.
 
 A block of ``tp`` graphs is sampled with one :func:`sample_tp_edges` call:
 its streams draw one batch each per round, and one inverse-CDF lookup maps
@@ -34,10 +35,11 @@ giant replicates at 3000 vertices a side run as one block.
 The tree comparison then counts every replicate's trees with one labelling
 of the block's disjoint union, the conditioned distinct-edge estimates test
 every replicate's edges for repeats with one sort, and the giant and
-connectivity sweeps label each graph on its own. Each replicate still draws
-from its own stream exactly what it would draw alone, so its graph does not
-depend on the block size or the worker count; drawing a block from one
-shared stream would tie every replicate's graph to both.
+connectivity sweeps label each graph on its own, the connectivity sweep
+only until a complete component shows the graph is split. Each replicate
+still draws from its own stream exactly what it would draw alone, so its
+graph does not depend on the block size or the worker count; drawing a
+block from one shared stream would tie every replicate's graph to both.
 """
 
 from __future__ import annotations
@@ -258,13 +260,13 @@ def _run_replicates(
     picklable: a module-level function or a ``partial`` of one. Each point's
     replicates are cut by :func:`_block_bounds` under :func:`_block_cap` of
     its t. Replicate i of a point runs on ``split_stream(seed, i)`` whatever
-    the block and worker counts. With ``threads`` > 1 and at least
+    the block and worker counts. Blocks run by descending t, a point's
+    blocks in index order. With ``threads`` > 1 and at least
     ``_POOL_MIN_EDGES`` edges over all replicates, t each, every block goes
     to the process pool in one map, and each point's cap is also at most
     its even share of the replicates over the workers, so that the pool
-    gets a block for each worker. Raises InputError for reps < 0,
-    threads < 1 or a negative seed before any replicate runs: these run
-    rules live here alone."""
+    gets a block for each worker. Raises InputError for reps < 0, threads < 1 or a negative seed
+    before any replicate runs: these run rules live here alone."""
     if reps < 0:
         raise InputError(f"reps must be >= 0, got {reps}")
     if threads < 1:
@@ -280,7 +282,10 @@ def _run_replicates(
     # one block against 56 ms as 22 + 23 (medians of 10 alternated runs)
     share = max(1, -(-reps * len(points) // workers))
     tasks, owners = [], []  # each block and the index of its point
-    for k, (job, t, seed) in enumerate(points):
+    # longest first (Graham's LPT rule): a pool's workers take blocks in
+    # map order, so the short blocks fill in behind the long ones
+    for k in sorted(range(len(points)), key=lambda k: -points[k][1]):
+        job, t, seed = points[k]
         bounds = _block_bounds(reps, min(_block_cap(t), share))
         tasks += [(job, seed, *span) for span in zip(bounds, bounds[1:])]
         owners += [k] * (len(bounds) - 1)

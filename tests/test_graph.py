@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import connected_components
 from oxgrid.errors import InputError
 from oxgrid.graph import (
     BipartiteMultigraph,
+    _component_labels,
     block_tree_census,
     components,
     degrees,
@@ -14,8 +15,9 @@ from oxgrid.graph import (
     min_degree,
     tree_census,
 )
-from oxgrid.generators import sample_gr
+from oxgrid.generators import sample_gr, sample_tp
 from oxgrid.rng import make_stream, split_stream
+from oxgrid.theory import connectivity_edge_count
 
 
 def test_path_component_is_tree():
@@ -204,3 +206,81 @@ def test_components_match_scipy(m, n, t):
         assert s.largest == np.flatnonzero(sizes == sizes.max())[0]
     assert s.second_largest_size == (np.sort(sizes)[-2] if k > 1 else 0)
     assert is_connected(g) == (total == 0 or (k == 1 and g.t > 0))
+
+
+def _check_against_scipy(g):
+    """components, is_connected and the labels themselves against scipy."""
+    total = g.m + g.n
+    adjacency = coo_matrix(
+        (np.ones(g.t), (g.edges[:, 0], g.edges[:, 1] + g.m)), shape=(total, total)
+    )
+    k, label = connected_components(adjacency, directed=False)
+    s = components(g)
+    assert s.n_components == k
+    assert np.array_equal(s.left, np.bincount(label[: g.m], minlength=k))
+    assert np.array_equal(s.right, np.bincount(label[g.m :], minlength=k))
+    assert np.array_equal(s.edges, np.bincount(label[g.edges[:, 0]], minlength=k))
+    # scipy numbers components by their smallest vertex, which is our label
+    smallest = np.unique(label, return_index=True)[1]
+    assert np.array_equal(_component_labels(g.m, g.n, g.edges), smallest[label])
+    assert is_connected(g) == (k == 1)
+    return k
+
+
+@pytest.mark.parametrize(
+    "m, n, t, reps",
+    [(3000, 3000, 5792, 3), (3000, 3000, 4185, 3)]
+    + [(2000, 2000, connectivity_edge_count(2000, 2000, c), 8) for c in (0.6, 1.0, 1.6)]
+    + [(100_000, 100_000, 158_198, 1)],
+)
+def test_tp_labels_and_connectivity_match_scipy(m, n, t, reps):
+    for i in range(reps):
+        _check_against_scipy(sample_tp(m, n, t, split_stream(430, i)))
+
+
+def _connected_tp_graph() -> BipartiteMultigraph:
+    # at c = 1.6 most tp graphs on 2000 + 2000 vertices are connected
+    t = connectivity_edge_count(2000, 2000, 1.6)
+    for i in range(20):
+        g = sample_tp(2000, 2000, t, split_stream(440, i))
+        if _check_against_scipy(g) == 1:
+            return g
+    raise AssertionError("no connected graph in 20 draws")
+
+
+def test_the_early_exit_keeps_the_labels_of_a_connected_graph():
+    g = _connected_tp_graph()
+    assert is_connected(g)
+    assert not _component_labels(g.m, g.n, g.edges, early_out=True).any()
+
+
+def test_two_copies_of_a_connected_graph_finish_together():
+    # the copies hook in lock step and complete in the same round, so a
+    # complete component never meets a cross edge and the exit never fires
+    g = _connected_tp_graph()
+    twice = BipartiteMultigraph(2 * g.m, 2 * g.n, np.concatenate([g.edges, g.edges + [g.m, g.n]]))
+    assert _check_against_scipy(twice) == 2
+    assert np.array_equal(
+        _component_labels(twice.m, twice.n, twice.edges, early_out=True),
+        _component_labels(twice.m, twice.n, twice.edges),
+    )
+
+
+@pytest.mark.parametrize("extra_left, extra_right", [(1, 1), (1, 0), (0, 1)])
+def test_an_isolated_edge_or_vertex_stops_the_labelling_early(extra_left, extra_right):
+    g = _connected_tp_graph()
+    edges = g.edges
+    if extra_left and extra_right:  # one isolated edge
+        edges = np.concatenate([edges, [[g.m, g.n]]])
+    h = BipartiteMultigraph(g.m + extra_left, g.n + extra_right, edges)
+    assert _check_against_scipy(h) == 2
+    assert _component_labels(h.m, h.n, h.edges, early_out=True) is None
+
+
+def test_the_exit_fires_in_the_round_that_leaves_a_component_complete():
+    # the path 0 - (right 0) - 1 needs two rounds and the edge 2 - (right 1)
+    # one, so only the second round can see the edge's component complete
+    # beside a cross edge; a third round finds no cross edge and labels all
+    edges = np.array([(0, 0), (1, 0), (2, 1)])
+    assert _component_labels(3, 2, edges, early_out=True) is None
+    assert np.array_equal(_component_labels(3, 2, edges), [0, 0, 2, 0, 2])

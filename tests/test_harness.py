@@ -213,6 +213,36 @@ def test_a_pooled_sweep_makes_a_block_for_each_worker(monkeypatch):
     assert sizes == [6, 6]
 
 
+def test_a_pooled_call_hands_out_the_largest_t_first(monkeypatch):
+    # longest-processing-time order: the blocks reach the pool's map by
+    # descending t, a point's blocks in index order, and the rows come back
+    # in index order
+    handed = []
+
+    class InProcess:  # the pool's map, run here where the spy sees it
+        @staticmethod
+        def map(fn, *columns):
+            handed.extend(zip(*columns))
+            return map(fn, *columns)
+
+    monkeypatch.setattr(harness, "_pool_workers", lambda threads, reps: min(threads, reps))
+    monkeypatch.setattr(harness, "_executor", lambda workers: InProcess)
+    grid = [(300, 300, 420), (300, 300, 580), (300, 300, 500)]
+    assert 40 * sum(t for _, _, t in grid) >= harness._POOL_MIN_EDGES
+    pooled = sweep_giant(grid, reps=40, seed=6, threads=4)
+    # each point's 40 replicates are two blocks: a quarter of 120 is 30
+    order = [(job.args[2], seed, start, stop) for job, seed, start, stop in handed]
+    assert order == [
+        (580, 7, 0, 20), (580, 7, 20, 40),
+        (500, 8, 0, 20), (500, 8, 20, 40),
+        (420, 6, 0, 20), (420, 6, 20, 40),
+    ]
+    assert [(r["t"], r["replicate_index"]) for r in pooled] == [
+        (t, i) for _, _, t in grid for i in range(40)
+    ]
+    assert pooled == sweep_giant(grid, reps=40, seed=6, threads=1)
+
+
 def test_tree_comparison_runs_250_replicates_as_two_blocks(monkeypatch):
     # the per-round cost of a block is mostly fixed, so 250 replicates must
     # run as 125 + 125, not as blocks of 32
