@@ -19,7 +19,7 @@ from pathlib import Path
 from . import harness, oracle, theory
 from .errors import OxgridError, InputError
 from .generators import ModelSpec
-from .graph import components, degrees, max_degree, min_degree, tree_census
+from .graph import components, degrees, tree_census
 from .ingest import (
     Dataset,
     emit_edge_list,
@@ -144,8 +144,8 @@ def _census_payload(dataset: Dataset, max_tree: int) -> dict:
         "second_largest_size": summary.second_largest_size,
         "isolated_left": summary.isolated_left,
         "isolated_right": summary.isolated_right,
-        "min_degree": list(min_degree(g)),
-        "max_degree": max_degree(g),
+        "min_degree": [int(d.min()) if d.size else 0 for d in (left_deg, right_deg)],
+        "max_degree": int(max(left_deg.max(initial=0), right_deg.max(initial=0))),
         "left_degrees": left_deg.tolist(),
         "right_degrees": right_deg.tolist(),
         "tree_census": {

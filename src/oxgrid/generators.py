@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import (
     TruncatedPoissonParams,
-    pmf,
+    _support_pmf,
     sample_truncated,
     sample_truncated_streams,
     solve_rate,
@@ -146,18 +146,17 @@ def _sum_law(rate: float, j: int) -> tuple[int, np.ndarray]:
     """``(first, law)`` with ``law[i] = P(S_j = first + i) / max_r P(S_j = r)``,
     where S_j sums j iid truncated-Poisson(rate) values.
 
-    The pmf, shifted to support 0..K-1, is raised to the j-th power by FFT
-    modulo N, a power of two with N >= 80 sd + 2K, and read cyclically from
-    N/2 below the mean, so the mass that wraps onto the window lies over
-    40 sd from the mean. A zero at each end makes a clipped lookup read 0
+    The pmf over :func:`_support_pmf`'s K values, shifted to support
+    0..K-1, is raised to the j-th power by FFT modulo N, a power of two
+    with N >= 80 sd + 2K, and read cyclically from N/2 below the mean, so
+    the mass that wraps onto the window lies over 40 sd from the mean. A zero at each end makes a clipped lookup read 0
     outside the window. The table is cached and shared, so it is read-only.
     """
     params = TruncatedPoissonParams.from_rate(rate)
-    # its own table, not pmf_table's, which stops short of the hard cap:
-    # K = k_max sets the FFT size N, and with it every bit of the law
-    k_max = int(rate + 60 + 40 * math.sqrt(rate))
-    shifted = pmf(params, np.arange(1, k_max + 1))
-    size = 1 << math.ceil(math.log2(80 * math.sqrt(j * params.variance) + 2 * k_max))
+    # the whole support, not pmf_table's cut of it: its length sets the FFT
+    # size N, and with it every bit of the law
+    shifted = _support_pmf(params)
+    size = 1 << math.ceil(math.log2(80 * math.sqrt(j * params.variance) + 2 * shifted.size))
     cyclic = np.fft.irfft(np.fft.rfft(shifted, size) ** j, size)
     lo = max(0, round(j * (params.mean - 1)) - size // 2)
     law = np.zeros(size + 2)
@@ -165,13 +164,6 @@ def _sum_law(rate: float, j: int) -> tuple[int, np.ndarray]:
     law /= law.max()
     law.setflags(write=False)
     return j + lo - 1, law
-
-
-@lru_cache(maxsize=256)
-def _rate(mean: float) -> TruncatedPoissonParams:
-    """:func:`solve_rate`, cached: the replicates of one size condition each
-    side at the same mean, and the recursion's rests at a few."""
-    return solve_rate(mean)
 
 
 class _Budget:
@@ -436,7 +428,7 @@ def _condition(
         return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
     if count == 1:
         return np.full((len(rngs), vectors, 1), total, dtype=np.int64)  # forced single vertex
-    params = _rate(total / count)
+    params = solve_rate(total / count)
     if count <= _LEAF:
         # every stream draws batches of one size, so streams whose budgets
         # start level run out in the same round and the first one raises; a
@@ -668,11 +660,9 @@ def gr_multiset_counts(
     t: int,
     samples: int,
     rng: np.random.Generator,
-    require_min_degree: bool = True,
-    chunk: int = 1 << 16,
 ) -> dict[tuple[int, ...], int]:
-    """Empirical distribution of gr (or gr1 when require_min_degree) over
-    canonical edge multisets, for small instances (m, n <= 62)."""
+    """Empirical distribution of gr1 over canonical edge multisets, for
+    small instances (m, n <= 62): gr draws kept when they cover both sides."""
     if m > 62 or n > 62:
         raise InputError("bulk gr sampling uses 64-bit coverage masks; m, n <= 62")
     if samples < 1:
@@ -682,11 +672,10 @@ def gr_multiset_counts(
     kept: list[np.ndarray] = []
     have = 0
     while have < samples:
-        codes = rng.integers(0, m * n, size=(chunk, t))
-        if require_min_degree:
-            left_mask = np.bitwise_or.reduce(1 << (codes // n), axis=1)
-            right_mask = np.bitwise_or.reduce(1 << (codes % n), axis=1)
-            codes = codes[(left_mask == full_left) & (right_mask == full_right)]
+        codes = rng.integers(0, m * n, size=(1 << 16, t))
+        left_mask = np.bitwise_or.reduce(1 << (codes // n), axis=1)
+        right_mask = np.bitwise_or.reduce(1 << (codes % n), axis=1)
+        codes = codes[(left_mask == full_left) & (right_mask == full_right)]
         if codes.shape[0]:
             kept.append(codes)
             have += codes.shape[0]

@@ -13,6 +13,7 @@ complete while others remain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,16 @@ class BipartiteMultigraph:
     __slots__ = ("m", "n", "edges")
 
     def __init__(self, m: int, n: int, edges) -> None:
+        try:
+            m, n = operator.index(m), operator.index(n)
+            raw = np.asarray(edges)
+        except (TypeError, ValueError) as err:
+            raise InputError(f"vertex counts must be integers and edges an array: {err}") from err
         if m < 0 or n < 0:
             raise InputError(f"vertex counts must be >= 0, got m={m}, n={n}")
-        arr = np.asarray(edges, dtype=np.int64)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise InputError(f"edge endpoints must be integers, got dtype {raw.dtype}")
+        arr = raw.astype(np.int64, copy=False)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:

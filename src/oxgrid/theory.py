@@ -12,10 +12,12 @@ laws, whose means are t/m and t/n (DomainError for a mean of 1 or less).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
 import numpy as np
 
-from .distributions import TruncatedPoissonParams, _lgamma_arr, solve_rate
+from .distributions import TruncatedPoissonParams, _lgamma, _poisson_log_pmf, solve_rate
 from .errors import DomainError, InputError
 from .generators import _check_gr, _check_sides
 
@@ -215,11 +217,23 @@ def extinction_probabilities(left_rate: float, right_rate: float) -> Extinction:
         return Extinction(1.0, 1.0, 1.0, 1.0)
     zeta_right = composite_fixed_point(a, b)
     zeta_left = composite_fixed_point(b, a)
-    xi_left = math.expm1(a * zeta_right) / math.expm1(a)
-    xi_right = math.expm1(b * zeta_left) / math.expm1(b)
+    xi_left = _root_extinction(a, zeta_right)
+    xi_right = _root_extinction(b, zeta_left)
     return Extinction(
         zeta_left=zeta_left, zeta_right=zeta_right, xi_left=xi_left, xi_right=xi_right
     )
+
+
+# e^x is a finite double up to here
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _root_extinction(rate: float, zeta: float) -> float:
+    """(e^(rate zeta) - 1)/(e^rate - 1); past the rate where e^rate
+    overflows, as e^(rate (zeta - 1)) (1 - e^(-rate zeta))/(1 - e^-rate)."""
+    if rate <= _LOG_MAX:
+        return math.expm1(rate * zeta) / math.expm1(rate)
+    return math.exp(rate * (zeta - 1.0)) * math.expm1(-rate * zeta) / math.expm1(-rate)
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +267,8 @@ def _tree_law(i, j, a: float, b: float) -> float | np.ndarray:
     log_term = (
         (fj - 1.0) * np.log(fi)
         + (fi - 1.0) * np.log(fj)
-        - _lgamma_arr(fi + 1.0)
-        - _lgamma_arr(fj + 1.0)
+        - _lgamma(fi + 1.0)
+        - _lgamma(fj + 1.0)
         + fj * (math.log(a) - b)
         + fi * (math.log(b) - a)
     )
@@ -339,24 +353,42 @@ def connectivity_edge_count(m: int, n: int, c: float) -> int:
 
 
 def poisson_tail(mean: float, k: int, direction: str = "ge") -> float:
-    """Poisson(mean) tail probabilities: P(X >= k), P(X <= k), or P(X = k)."""
+    """Poisson(mean) tail probabilities: P(X >= k), P(X <= k), or P(X = k).
+
+    P(X = k) is the log-space pmf. Of P(X <= c) and P(X > c), with c = k
+    or k - 1, the one on the far side of c from the mean is summed outward
+    from its log-space first term until a term no longer moves the sum, and
+    the other is 1 minus it. So no term starts from e^-mean, which
+    underflows past mean 708, and a small upper tail keeps its digits.
+    """
     if not math.isfinite(mean) or mean < 0:
         raise InputError(f"mean must be finite and >= 0, got {mean}")
-    if k < 0:
-        raise InputError("k must be >= 0")
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise InputError(f"k must be an integer >= 0, got {k!r}")
     if direction not in ("ge", "le", "eq"):
         raise InputError(f"direction must be ge, le, or eq, got {direction!r}")
+    if mean == 0 or (direction == "ge" and k == 0):
+        return 1.0 if direction == "le" else float(k == 0)
     if direction == "eq":
-        return math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) if mean > 0 else float(k == 0)
-    cdf_km1 = 0.0
-    term = math.exp(-mean)
-    upto = k - 1 if direction == "ge" else k
-    for i in range(upto + 1):
-        if i > 0:
-            term *= mean / i
-        cdf_km1 += term
-    cdf_km1 = min(cdf_km1, 1.0)
-    return 1.0 - cdf_km1 if direction == "ge" else cdf_km1
+        return math.exp(_poisson_log_pmf(mean, k))
+    cut = k if direction == "le" else k - 1
+    # P(X <= cut) when cut < mean, else P(X > cut)
+    far = _falling_sum(mean, cut, -1) if cut < mean else _falling_sum(mean, cut + 1, 1)
+    return far if (cut < mean) == (direction == "le") else 1.0 - far
+
+
+def _falling_sum(mean: float, k: int, step: int) -> float:
+    """The Poisson(mean) pmf summed from k in steps of ``step`` (1 or -1)
+    until a term no longer moves the sum or k passes 0; the terms fall when
+    k lies on the ``-step`` side of the mean."""
+    term = total = math.exp(_poisson_log_pmf(mean, k))
+    while k + step >= 0:
+        term *= mean / (k + 1) if step > 0 else k / mean
+        k += step
+        if total + term == total:
+            break
+        total += term
+    return total
 
 
 # ----------------------------------------------------------------------

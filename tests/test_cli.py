@@ -181,6 +181,18 @@ def test_one_replicate_giant_aggregate_leaves_the_standard_errors_empty(capsys, 
     assert fields["mean_largest_left_fraction"] != ""
 
 
+def test_side_rates_past_709_predict_and_sweep(capsys, tmp_path):
+    # e^rate overflows past side rate ~709.8; both commands exited 3 here
+    code, out, _ = run_cli(capsys, "predict", "--m", "3", "--n", "3", "--t", "2130")
+    assert code == 0
+    assert 0.0 <= json.loads(out)["xi_left"] <= 1.0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "giant", "grid": [[3, 3, 2130]], "reps": 2}))
+    code, out, _ = run_cli(capsys, "sweep", "giant", "--config", str(config))
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
 @pytest.mark.parametrize("point", [[0, 5, 10], [5, 0, 10], [10, 10, 5]])
 def test_giant_point_off_the_tp_precondition_is_an_input_error(capsys, tmp_path, point):
     # a zero-size side used to exit 3 from a division by zero

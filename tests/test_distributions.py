@@ -59,6 +59,19 @@ def test_solve_rate_is_verified_inverse(mean):
     assert params.mean == pytest.approx(params.rate / -math.expm1(-params.rate), rel=1e-10)
 
 
+@pytest.mark.parametrize("mean", [np.array(3.0), [3.0]], ids=["0-d-array", "list"])
+def test_solve_rate_rejects_non_numbers_before_its_cache(mean):
+    # the cache would raise TypeError on the unhashable list
+    with pytest.raises(InputError):
+        solve_rate(mean)
+
+
+def test_solve_rate_is_cached_and_equal_to_a_fresh_solve():
+    assert solve_rate(67 / 22) is solve_rate(67 / 22)
+    assert solve_rate(67 / 22) == distributions._solve_rate.__wrapped__(67 / 22)
+    assert solve_rate(3) == solve_rate(3.0)
+
+
 def test_params_from_rate():
     p = TruncatedPoissonParams.from_rate(1.5)
     assert p.mean == pytest.approx(1.9308253751833022, rel=1e-12)
@@ -113,6 +126,27 @@ def test_pmf_table_recurrence_agrees_with_the_log_space_pmf_up_to_the_switch():
     table = pmf_table(p)
     assert abs(table.sum() - 1.0) <= 1e-10
     assert np.allclose(table, pmf(p, np.arange(1, table.size + 1)), rtol=1e-9, atol=1e-300)
+
+
+def test_pmf_and_size_biased_pmf_take_0d_arrays():
+    p = TruncatedPoissonParams.from_rate(1.5)
+    for k in (0, 3):
+        assert pmf(p, np.array(k)) == pmf(p, k) == pmf(p, np.array([k]))[0]
+        assert size_biased_pmf(p, np.array(k)) == size_biased_pmf(p, k)
+    for bad in (np.array(-1), 2.5, np.array([1.0, 2.0])):
+        with pytest.raises(InputError):
+            pmf(p, bad)
+        with pytest.raises(InputError):
+            size_biased_pmf(p, bad)
+
+
+def test_lgamma_is_bit_equal_to_math_lgamma():
+    x = np.concatenate([np.arange(1, 3000), np.geomspace(1e-3, 1e7, 2000)])
+    assert distributions._lgamma(x).tolist() == [math.lgamma(v) for v in x.tolist()]
+    assert distributions._lgamma(np.arange(1, 40)).tolist() == [
+        math.lgamma(v) for v in range(1, 40)
+    ]
+    assert distributions._lgamma(np.array(7.5)).shape == ()
 
 
 def test_size_biased_point_value():

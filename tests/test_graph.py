@@ -68,6 +68,34 @@ def test_validation_and_immutability():
         g.edges[0, 0] = 1
 
 
+@pytest.mark.parametrize(
+    "m,n,edges",
+    [
+        (2, 2, [[0.7, 1.9]]),
+        (2, 2, [[1.0, 0.0]]),
+        (2.5, 2, [(0, 0)]),
+        (2, 2.0, [(0, 0)]),
+        ("2", 2, [(0, 0)]),
+        (2, 2, [[float("nan"), 0]]),
+        (2, 2, [[float("inf"), 0]]),
+        (2, 2, [["0", "1"]]),
+        (2, 2, [[0, 1], [1]]),
+    ],
+    ids=[
+        "fractional-ends", "float-ends", "fractional-m", "float-n", "string-m",
+        "nan", "inf", "strings", "ragged",
+    ],
+)
+def test_non_integral_sides_and_endpoints_are_input_errors(m, n, edges):
+    with pytest.raises(InputError):
+        BipartiteMultigraph(m, n, edges)
+
+
+def test_numpy_integer_sides_and_endpoints_are_kept():
+    g = BipartiteMultigraph(np.int64(2), 2, np.array([[1, 0]], dtype=np.uint8))
+    assert (type(g.m), g.edges.dtype, g.edges.tolist()) == (int, np.int64, [[1, 0]])
+
+
 def test_parallel_edges_never_deduplicated():
     g = BipartiteMultigraph(2, 2, [(0, 0)] * 5)
     assert g.t == 5

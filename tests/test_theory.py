@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oxgrid.distributions import solve_rate
 from oxgrid.errors import DomainError, InputError
@@ -180,6 +181,15 @@ def test_xi_applies_root_generating_function():
     expected = math.expm1(1.5 * ext.zeta_right) / math.expm1(1.5)
     assert ext.xi_left == pytest.approx(expected, rel=1e-12)
     assert ext.xi_left == pytest.approx(0.2497949927143974, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", [2130, 10**5])
+def test_extinction_past_the_rate_where_e_to_the_rate_overflows(t):
+    # side rates of 710 and 33,333: (e^(a z) - 1)/(e^a - 1) would overflow
+    ext = predict(3, 3, t).extinction
+    for xi in (ext.xi_left, ext.xi_right):
+        assert 0.0 <= xi <= 1.0
+    assert extinction_probabilities(2000.0, 2000.0).xi_left == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +400,40 @@ def test_poisson_tail_values():
     assert poisson_tail(2.0, 1, "ge") + poisson_tail(2.0, 0, "le") == pytest.approx(1.0)
     with pytest.raises(InputError):
         poisson_tail(2.0, 1, "sideways")
+    for mean in (0.0, 2.0):
+        with pytest.raises(InputError):
+            poisson_tail(mean, 2.5)
+
+
+def _tail_points(mean: float) -> list[int]:
+    sd = math.sqrt(mean)
+    points = [0, 1, 2, 3, mean - 5 * sd, mean - sd, mean, mean + 1, mean + sd]
+    points += [mean + 5 * sd, mean + 10 * sd, 2 * mean + 40]
+    return sorted({int(k) for k in points if k >= 0})
+
+
+@pytest.mark.parametrize("mean", [1e-3, 0.5, 2.63, 30.0, 708.0, 800.0, 1e4, 1e5])
+def test_poisson_tail_matches_scipy(mean):
+    # the far side of k from the mean is summed from its log-space term, so
+    # tails far below 1e-16 and means past 708 keep their digits
+    for k in _tail_points(mean):
+        for direction, want in (
+            ("ge", stats.poisson.sf(k - 1, mean)),
+            ("le", stats.poisson.cdf(k, mean)),
+            ("eq", stats.poisson.pmf(k, mean)),
+        ):
+            got = poisson_tail(mean, k, direction)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-300), (k, direction)
+
+
+def test_poisson_tail_edges():
+    # the cumulative sum from e^-mean read 1.0 and 0.0 here
+    assert poisson_tail(800.0, 900) == pytest.approx(stats.poisson.sf(899, 800.0), rel=1e-9)
+    assert poisson_tail(0.5, 15) == pytest.approx(stats.poisson.sf(14, 0.5), rel=1e-9)
+    # mean 0 is a point mass at 0
+    assert [poisson_tail(0.0, k, d) for d in ("ge", "le", "eq") for k in (0, 2)] == [
+        1.0, 0.0, 1.0, 1.0, 1.0, 0.0
+    ]
 
 
 def _c_where_expected_trees_hit_one(n: int) -> float:
