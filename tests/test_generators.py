@@ -106,6 +106,44 @@ def test_gr1_uniform_over_valid_sequences():
     assert result.pvalue >= 0.001
 
 
+# (m, n, t) for the with-replacement draws, two of them with a side over 62
+GR_STREAM_SIZES = [(1, 1, 3), (3, 4, 0), (5, 3, 8), (70, 2, 100), (64, 80, 200)]
+GR1_STREAM_SIZES = [(1, 1, 1), (2, 2, 2), (3, 5, 9), (64, 2, 300), (70, 70, 500)]
+
+
+@pytest.mark.parametrize(
+    "sampler,sizes,expected",
+    [
+        (sample_gr, GR_STREAM_SIZES,
+         "3c5eb1d4503222d0aad394d1d100c83e29786422eec6d703bbd8b72046ed5dd9"),
+        (sample_gr1, GR1_STREAM_SIZES,
+         "de3e97240a097ed0b21ff0ba4a8da2d4d89aa4846320a064b152426532bf21a2"),
+    ],
+    ids=["gr", "gr1"],
+)
+def test_gr_draws_are_pinned(sampler, sizes, expected):
+    # replicate i of a seed must keep giving the same graph: the sha256 of
+    # these edges over 30 streams a size is that of the first release
+    digest = hashlib.sha256()
+    for m, n, t in sizes:
+        for i in range(30):
+            digest.update(sampler(m, n, t, split_stream(2025, i)).edges.tobytes())
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "m,n,t,expected",
+    [
+        (2, 2, 3, "7a241f896d6322dc65d992d124044ee8560ceaa9b39db8fcf8ea93140f4c458f"),
+        (2, 3, 4, "a9769b49c13498ec98e68596ce35295890027662d47577876bdb9f3651269027"),
+    ],
+)
+def test_gr_multiset_counts_are_pinned(m, n, t, expected):
+    # the stream the slow gr1-vs-tp campaign uses, with 300,000 samples
+    counts = gr_multiset_counts(m, n, t, 300_000, make_stream(62))
+    assert hashlib.sha256(repr(list(counts.items())).encode()).hexdigest() == expected
+
+
 # ----------------------------------------------------------------------
 # configuration model
 # ----------------------------------------------------------------------

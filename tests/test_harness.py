@@ -345,6 +345,12 @@ def test_distinct_rows_of_a_block_match_one_stream_samples(m, n, t, conditioned)
         assert 0 < sum(expected) < 40
 
 
+def test_plain_distinct_estimate_is_pinned():
+    # replicate i of the plain model draws its t codes from split_stream(seed, i)
+    est = estimate_distinct_probability(1000, 1000, 1000, reps=3000, seed=5)
+    assert (est["p_distinct"], est["se"]) == (0.6043333333333333, 0.008927757380879694)
+
+
 def test_estimate_distinct_probability_conditioned_in_bracket():
     est = estimate_distinct_probability(100, 100, 150, reps=2000, seed=4, conditioned=True)
     lo = math.exp(-(150 / 100) * (150 / 100))
