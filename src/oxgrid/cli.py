@@ -131,7 +131,7 @@ def _census_payload(dataset: Dataset, max_tree: int) -> dict:
     summary = components(g)
     census = tree_census(summary, max_tree, max_tree)
     left_deg, right_deg = degrees(g)
-    payload = {
+    return {
         "name": dataset.name,
         "m": g.m,
         "n": g.n,
@@ -163,11 +163,6 @@ def _census_payload(dataset: Dataset, max_tree: int) -> dict:
             )
         ],
     }
-    if dataset.published:
-        payload["published"] = dataset.published
-    if dataset.notes:
-        payload["notes"] = dataset.notes
-    return payload
 
 
 def _cmd_analyze(args) -> int:

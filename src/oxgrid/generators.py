@@ -87,16 +87,56 @@ def _check_er(m: int, n: int, p: float | None) -> None:
         raise InputError("grid too large for the dense independent-edge sampler")
 
 
+def _gr_codes(
+    m: int, n: int, t: int, rng: np.random.Generator, rows: int | None = None
+) -> np.ndarray:
+    """t uniform draws from the m*n edge slots as edge codes left*n + right,
+    in draw order; with ``rows``, shape (rows, t), drawn as ``rows`` calls
+    without it would draw them one after another."""
+    _check_gr(m, n, t)
+    return rng.integers(0, m * n, size=t if rows is None else (rows, t))
+
+
 def sample_gr(m: int, n: int, t: int, rng: np.random.Generator) -> BipartiteMultigraph:
     """t independent uniform draws from the m*n edge slots, in draw order."""
-    _check_gr(m, n, t)
-    codes = rng.integers(0, m * n, size=t)
-    edges = np.column_stack((codes // n, codes % n))
-    return BipartiteMultigraph(m, n, edges)
+    return BipartiteMultigraph(m, n, np.column_stack(np.divmod(_gr_codes(m, n, t, rng), n)))
 
 
-def _gr1_acceptance_estimate(m: int, n: int, t: int) -> float:
-    return (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
+def _covering_codes(
+    m: int,
+    n: int,
+    t: int,
+    rows: int,
+    batch: int,
+    rng: np.random.Generator,
+    max_batches: int = DEFAULT_MAX_ATTEMPTS,
+) -> np.ndarray:
+    """The first ``rows`` gr draws of t edge codes that leave no vertex
+    isolated, shape (rows, t), in draw order: gr rows are drawn ``batch``
+    at a time, and a row is kept when it sets all of its row of a coverage
+    table, left vertices then right ones. Raises AttemptsExhausted when
+    ``max_batches`` batches do not hold ``rows`` of them."""
+    _check_min_degree(m, n, t)
+    base = np.arange(0, batch * (m + n), m + n)[:, None]  # each row's first entry
+    kept: list[np.ndarray] = []
+    have = 0
+    for _ in range(max_batches):
+        codes = _gr_codes(m, n, t, rng, batch)
+        left, right = np.divmod(codes, n)
+        covered = np.zeros(batch * (m + n), dtype=bool)
+        covered[left + base] = True
+        covered[right + (base + m)] = True
+        codes = codes[covered.reshape(batch, -1).all(axis=1)]
+        if codes.shape[0]:
+            kept.append(codes)
+            have += codes.shape[0]
+            if have >= rows:
+                return np.concatenate(kept)[:rows]
+    accept = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
+    raise AttemptsExhausted(
+        f"no min-degree-1 sample in {max_batches * batch} attempts at (m={m}, n={n}, t={t}); "
+        f"estimated acceptance probability {accept:.3e}"
+    )
 
 
 def sample_gr1(
@@ -107,22 +147,10 @@ def sample_gr1(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> BipartiteMultigraph:
     """Uniform sample with minimum degree 1: redraw gr until no vertex is isolated."""
-    _check_min_degree(m, n, t)
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
-    for _ in range(max_attempts):
-        g = sample_gr(m, n, t, rng)
-        left = np.bincount(g.edges[:, 0], minlength=m)
-        if left.min() == 0:
-            continue
-        right = np.bincount(g.edges[:, 1], minlength=n)
-        if right.min() == 0:
-            continue
-        return g
-    raise AttemptsExhausted(
-        f"no min-degree-1 sample in {max_attempts} attempts at (m={m}, n={n}, t={t}); "
-        f"estimated acceptance probability {_gr1_acceptance_estimate(m, n, t):.3e}"
-    )
+    codes = _covering_codes(m, n, t, 1, 1, rng, max_attempts)[0]
+    return BipartiteMultigraph(m, n, np.column_stack(np.divmod(codes, n)))
 
 
 # Vectors of at most this many coordinates are conditioned by whole-vector
@@ -422,7 +450,8 @@ def _condition(
     it would draw alone. A block fails as its first stream that fails
     alone: lock-step can reach a later stream's limit before an earlier
     one's, so when a long side runs out, every stream is put back where it
-    stood and the streams run again one at a time.
+    stood and the streams run again one at a time (a lone stream reruns
+    once and fails again the same way).
     """
     if total == count:
         return np.ones((len(rngs), vectors, count), dtype=np.int64)  # forced: every degree is 1
@@ -435,9 +464,6 @@ def _condition(
         # leaf restarted inside a split leaves that to the split's rerun
         return _leaf_vectors(params, count, total, vectors, rngs, budgets)
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    if len(rngs) == 1:
-        _split(params, count, total, rngs, budgets, out)
-        return out
     saved = [(rng.bit_generator.state, vars(b).copy()) for rng, b in zip(rngs, budgets)]
     try:
         _split(params, count, total, rngs, budgets, out)
@@ -661,23 +687,9 @@ def gr_multiset_counts(
     samples: int,
     rng: np.random.Generator,
 ) -> dict[tuple[int, ...], int]:
-    """Empirical distribution of gr1 over canonical edge multisets, for
-    small instances (m, n <= 62): gr draws kept when they cover both sides."""
-    if m > 62 or n > 62:
-        raise InputError("bulk gr sampling uses 64-bit coverage masks; m, n <= 62")
+    """Empirical distribution of gr1 over canonical edge multisets: the
+    ``samples``-graph case of :func:`sample_gr1`'s rejection, 2^16 gr draws
+    a batch."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    full_left = (1 << m) - 1
-    full_right = (1 << n) - 1
-    kept: list[np.ndarray] = []
-    have = 0
-    while have < samples:
-        codes = rng.integers(0, m * n, size=(1 << 16, t))
-        left_mask = np.bitwise_or.reduce(1 << (codes // n), axis=1)
-        right_mask = np.bitwise_or.reduce(1 << (codes % n), axis=1)
-        codes = codes[(left_mask == full_left) & (right_mask == full_right)]
-        if codes.shape[0]:
-            kept.append(codes)
-            have += codes.shape[0]
-    rows = np.concatenate(kept)[:samples]
-    return _multiset_counts_from_codes(rows)
+    return _multiset_counts_from_codes(_covering_codes(m, n, t, samples, 1 << 16, rng))

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import theory
 from .errors import InputError
-from .generators import _check_min_degree, sample_gr, sample_tp_edges
+from .generators import _check_min_degree, _gr_codes, sample_tp_edges
 # perfbench/layers.py looks sample_tp and split_stream up here to trace
 # them, and perfbench/run.py checks that sample_tp is the generators' own
 from .generators import sample_tp  # noqa: F401
@@ -579,10 +579,10 @@ def _distinct_rows(
     """Per stream, whether the t edge slots of one sample are distinct; the
     conditioned samples are drawn as one lock-step block."""
     if conditioned:
-        edges = sample_tp_edges(m, n, t, rngs)
+        codes = sample_tp_edges(m, n, t, rngs) @ np.array([n, 1])  # left * n + right
     else:
-        edges = np.stack([sample_gr(m, n, t, rng).edges for rng in rngs])
-    codes = np.sort(edges[:, :, 0] * n + edges[:, :, 1], axis=1)
+        codes = np.stack([_gr_codes(m, n, t, rng) for rng in rngs])
+    codes.sort(axis=1)
     distinct = (np.diff(codes, axis=1) != 0).all(axis=1)
     return [{"distinct": d} for d in distinct.astype(int).tolist()]
 

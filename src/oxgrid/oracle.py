@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SEQUENCE_CAP = 10**7
+_CHUNK = 1 << 18  # sequences whose masks one pass of exhaustive_census holds
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ def exhaustive_census(
     t: int,
     cap: int = SEQUENCE_CAP,
     track_outcomes: bool = True,
-    chunk: int = 1 << 18,
 ) -> ExhaustiveCensus:
     """Test every ordered edge sequence for minimum degree 1, recording the
     valid count and (optionally) the multiset frequencies of the valid ones.
@@ -87,7 +87,7 @@ def exhaustive_census(
     the rest, and its coverage mask is the OR of the suffix's and the
     prefix's entries in two tables of at most (m*n)^ceil(t/2) masks, so each
     sequence costs one OR and one compare. The index space is visited in
-    ``chunk``-sized ranges; with ``track_outcomes`` only the valid indices
+    ``_CHUNK``-sized ranges; with ``track_outcomes`` only the valid indices
     of a range are decoded into edge codes and tallied.
 
     InputError for a bad triple, SizeError when (m*n)^t exceeds ``cap``.
@@ -109,8 +109,8 @@ def exhaustive_census(
     mn = m * n
     valid = 0
     freq: dict[tuple[int, ...], int] = {}
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
         # all sequences of the suffixes the range touches, then cut to it
         first = start // width
         masks = (high_masks[first : (stop - 1) // width + 1, None] | low_masks).ravel()

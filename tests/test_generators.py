@@ -144,6 +144,26 @@ def test_gr_multiset_counts_are_pinned(m, n, t, expected):
     assert hashlib.sha256(repr(list(counts.items())).encode()).hexdigest() == expected
 
 
+def test_gr_multiset_counts_cover_sides_over_62(rng):
+    # the bulk sampler kept 64-bit coverage masks and stopped at 62 a side
+    m, n = 64, 2
+    counts = gr_multiset_counts(m, n, 200, 200, rng)
+    assert sum(counts.values()) == 200
+    for key in counts:
+        codes = np.array(key)
+        assert len(key) == 200
+        assert set((codes // n).tolist()) == set(range(m))
+        assert set((codes % n).tolist()) == set(range(n))
+
+
+def test_gr_multiset_counts_checks_the_triple():
+    # t < max(m, n) leaves a vertex isolated in every draw: the rejection
+    # loop would never end
+    for m, n, t in [(3, 2, 2), (0, 2, 3)]:
+        with pytest.raises(InputError):
+            gr_multiset_counts(m, n, t, 10, make_stream(0))
+
+
 # ----------------------------------------------------------------------
 # configuration model
 # ----------------------------------------------------------------------
