@@ -67,7 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="census of a dataset file")
     p.add_argument("--in", dest="infile", type=Path, required=True)
-    p.add_argument("--format", choices=["auto", "edges", "matrix"], default="auto")
+    p.add_argument(
+        "--format",
+        choices=["auto", "edges", "matrix"],
+        default="auto",
+        help="auto reads a first row of three or more fields, or an input of 0/1 fields "
+        "only, as a matrix and anything else as an edge list; a labelled one-column "
+        "grid needs --format matrix",
+    )
     p.add_argument("--max-tree", type=int, default=4)
 
     p = sub.add_parser(
@@ -82,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Monte Carlo sweeps, CSV out")
     p.add_argument("kind", choices=["giant", "connectivity", "count-ratio"])
     p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--aggregate", action="store_true")
+    p.add_argument(
+        "--aggregate", action="store_true", help="one row per point (giant and connectivity)"
+    )
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=Path)
 
@@ -188,6 +197,9 @@ def _cmd_sweep(args) -> int:
     config = harness.ExperimentConfig.from_dict(json.loads(args.config.read_text()))
     if config.kind != args.kind:
         raise InputError(f"config kind {config.kind!r} does not match subcommand {args.kind!r}")
+    if args.aggregate and args.kind == "count-ratio":
+        raise InputError("--aggregate applies to giant and connectivity sweeps; "
+                         "count-ratio already writes one row per point")
     if args.kind == "giant":
         rows = harness.sweep_giant(
             [tuple(g) for g in config.grid], config.reps, config.seed, threads=args.threads

@@ -640,12 +640,12 @@ def sweep_count_ratio(
 ) -> list[dict]:
     """Per (m, n, t): exact and asymptotic log counts and their ratio; with
     mc_reps > 0 also the conditioned distinct-edge probability against its
-    analytic bracket, each point's replicates on master seed seed + its
-    index, as :func:`estimate_distinct_probability` would draw them. Raises
-    InputError for mc_reps < 0, seed < 0 or threads < 1."""
+    analytic bracket. Point k's row gives its master seed, seed + k, on
+    which its replicates run as :func:`estimate_distinct_probability` would
+    draw them. Raises InputError for mc_reps < 0, seed < 0 or threads < 1."""
     estimates = _distinct_estimates(grid, mc_reps, seed, True, threads)
     rows = []
-    for m, n, t in grid:
+    for k, (m, n, t) in enumerate(grid):
         exact = theory.count_exact_log(m, n, t)
         asym = theory.count_asymptotic_log(m, n, t)
         lo, hi = theory.distinct_ratio_bracket(m, n, t)
@@ -654,7 +654,7 @@ def sweep_count_ratio(
                 "m": m,
                 "n": n,
                 "t": t,
-                "master_seed": seed,
+                "master_seed": seed + k,
                 "log_count_exact": exact,
                 "log_count_asymptotic": asym,
                 "exact_over_asymptotic": math.exp(exact - asym),

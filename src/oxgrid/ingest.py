@@ -7,7 +7,9 @@ Two interchange formats:
   Duplicate lines become parallel edges (kept, with a warning).
 * matrix — whitespace- or comma-delimited 0/1 grid, optional leading label
   row and label column; zero rows/columns are legal and yield isolated
-  vertices.
+  vertices. Column labels may be numbers when the label row starts with an
+  empty corner cell or is one token shorter than the labelled rows; under
+  an empty corner, row labels may be numbers too.
 
 Five comparisons ship under ``datasets/``; each has a JSON sidecar with the
 published summary values (m, n, t, rates, expected and observed tree
@@ -139,13 +141,23 @@ def parse_matrix(text: str, name: str = "") -> Dataset:
         raise EmptyError("no rows found in input")
     rows = [(lineno, _tokenize_row(line)) for lineno, line in lines]
 
-    # a first row with no 0/1 cell at all is a header; a row-label column is
-    # recognized by non-cell first tokens on the data rows
+    # the first row is a header when it holds no 0/1 cell at all, starts
+    # with an empty corner cell, or is one token shorter than a labelled row
+    # below it; a row-label column is marked by that corner or by a non-cell
+    # first token on a data row. Under a corner, as emit_matrix writes it,
+    # labels on both axes may be numbers
     header: list[str] | None = None
-    if len(rows) > 1 and all(not _is_cell(tok) for tok in rows[0][1]):
-        header = list(rows[0][1])
-        rows = rows[1:]
-    has_row_labels = any(not _is_cell(r[1][0]) for r in rows if r[1])
+    if len(rows) > 1:
+        first, below = rows[0][1], rows[1][1]
+        if (
+            not any(map(_is_cell, first))
+            or first[0] == ""
+            or (len(first) == len(below) - 1 and not _is_cell(below[0]))
+        ):
+            header = list(first)
+            rows = rows[1:]
+    corner = header is not None and header[0] == ""
+    has_row_labels = corner or any(not _is_cell(r[1][0]) for r in rows if r[1])
 
     right_labels: list[str] | None = None
     if header is not None:
@@ -160,7 +172,7 @@ def parse_matrix(text: str, name: str = "") -> Dataset:
     width = None
     for lineno, tokens in rows:
         if has_row_labels:
-            if _is_cell(tokens[0]):
+            if _is_cell(tokens[0]) and not corner:
                 raise ParseError(f"line {lineno}: expected a row label")
             left_labels.append(tokens[0])
             cells = tokens[1:]
@@ -199,14 +211,16 @@ def parse_matrix(text: str, name: str = "") -> Dataset:
 
 
 def parse_auto(text: str, name: str = "") -> Dataset:
-    """Sniff the format: a first data row whose trailing fields are all 0/1
-    is a matrix, anything else is an edge list."""
+    """Sniff the format: a first row of more than two fields, or an input
+    whose every field is 0 or 1, is a matrix; anything else is an edge
+    list, numeric labels such as ``7,1`` included. A labelled one-column
+    grid (``A,1``) therefore reads as an edge list: parse it with
+    :func:`parse_matrix`."""
     lines = _split_lines(text)
     if not lines:
         raise EmptyError("empty input")
-    tokens = _tokenize_row(lines[0][1])
-    tail = tokens[1:] if tokens else []
-    if len(tokens) > 2 or (tail and all(_is_cell(t) for t in tail)):
+    cells = (_is_cell(tok) for _, line in lines for tok in _tokenize_row(line))
+    if len(_tokenize_row(lines[0][1])) > 2 or all(cells):
         return parse_matrix(text, name=name)
     return parse_edge_list(text, name=name)
 

@@ -123,6 +123,45 @@ def test_analyze_lemur_fixture(capsys):
     assert payload["tree_census"]["1,2"] == 1
 
 
+def test_analyze_reads_no_sidecar(capsys):
+    # a bare file is parsed: the fixture's JSON sidecar beside it is not read
+    from oxgrid.ingest import _fixture_dir
+
+    code, text, _ = run_cli(capsys, "analyze", "--in", str(_fixture_dir() / "human_cat.txt"))
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["m"], payload["n"], payload["t"]) == (22, 19, 32)
+    assert "published" not in payload and "notes" not in payload
+
+
+@pytest.mark.parametrize("text", ["7,1\n9,1\n8,0\n", "2,1\n1,2\n3,3\n"])
+def test_analyze_reads_numeric_labels_as_edges(capsys, tmp_path, text):
+    path = tmp_path / "chromosomes.csv"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["t"] == 3
+
+
+def test_trees_reads_a_datasets_directory(capsys, tmp_path):
+    import shutil
+
+    from oxgrid.ingest import _fixture_dir
+
+    copy = tmp_path / "fixtures"
+    shutil.copytree(_fixture_dir(), copy)
+    code, bundled, _ = run_cli(capsys, "trees", "--reps", "3", "--seed", "1")
+    assert code == 0
+    code, copied, _ = run_cli(capsys, "trees", "--reps", "3", "--seed", "1",
+                              "--datasets", str(copy))
+    assert code == 0
+    assert copied == bundled
+    (copy / "human_dog.csv").unlink()
+    code, out, err = run_cli(capsys, "trees", "--datasets", str(copy))
+    assert code == 1 and out == ""
+    assert "human_dog" in err
+
+
 def test_trees_report_flags_dog(capsys):
     code, text, _ = run_cli(capsys, "trees", "--reps", "0")
     assert code == 0
@@ -243,6 +282,28 @@ def test_sweep_cli_round_trip(capsys, tmp_path):
     assert code == 1 and "does not match" in err
 
 
+def test_count_ratio_rejects_aggregate(capsys, tmp_path):
+    # count-ratio writes one row per point; --aggregate was silently ignored
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "count-ratio", "grid": [[50, 50, 100]], "reps": 2}))
+    code, out, err = run_cli(capsys, "sweep", "count-ratio", "--config", str(config),
+                             "--aggregate")
+    assert code == 1 and out == ""
+    assert "--aggregate" in err
+
+
+def test_connectivity_aggregate_matches_the_raw_rows(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "connectivity", "m": 300, "n": 300,
+                                  "grid": [0.6, 1.6], "reps": 5, "seed": 7}))
+    code, out, _ = run_cli(capsys, "sweep", "connectivity", "--config", str(config),
+                           "--aggregate")
+    assert code == 0
+    raw = harness.sweep_connectivity(300, 300, [0.6, 1.6], reps=5, seed=7)
+    assert out == harness.rows_to_csv(harness.aggregate_connectivity_rows(raw))
+    assert out.count("\n") == 3
+
+
 def test_sweep_bad_json_exit_code(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text("{not json")
@@ -255,6 +316,17 @@ def test_verify_equivalence_suite(capsys):
                            "--samples", "20000")
     assert code == 0
     assert out.count("PASS") == 2
+
+
+def test_verify_all_suites_pass(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cap", "1e3",
+                           "--samples", "2000")
+    assert code == 0
+    header, *results, summary = out.strip().split("\n")
+    assert header == "# suite=all cap=1000 samples=2000 seed=0"
+    assert len(results) == 4
+    assert all(line.startswith("PASS  ") for line in results)
+    assert summary == "4/4 checks passed"
 
 
 def test_verify_oracle_counts_every_instance_within_the_cap():

@@ -42,6 +42,23 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="connectivity", grid=[0.6, 2], m=400)
     config = ExperimentConfig(kind="connectivity", grid=[0.6, 2], m=np.int64(400), n=400)
     assert config.grid == [0.6, 2]
+    with pytest.raises(InputError, match="reps must be >= 0"):
+        ExperimentConfig(kind="giant", grid=[[300, 300, 580]], reps=-1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sweep_giant([(300, 300, 580)], reps=0),
+        lambda: sweep_connectivity(400, 400, [1.0], reps=0),
+        lambda: estimate_distinct_probability(50, 50, 60, reps=0),
+        lambda: estimate_distinct_probability(50, 50, 60, reps=0, conditioned=True),
+    ],
+    ids=["giant", "connectivity", "distinct", "distinct-conditioned"],
+)
+def test_replicated_estimates_need_a_replicate(run):
+    with pytest.raises(InputError, match="reps"):
+        run()
 
 
 @pytest.mark.parametrize(
@@ -310,6 +327,20 @@ def test_sweep_count_ratio_rows():
     for row in rows:
         assert 0.9 <= row["exact_over_asymptotic"] <= 1.1
         assert row["bracket_lo"] < 1.0 == row["bracket_hi"]
+
+
+def test_count_ratio_rows_carry_the_seed_each_point_ran_on():
+    # point k runs on master seed seed + k; its row must say so, so that its
+    # estimate can be regenerated from the row alone
+    grid = [(20, 30, 40), (50, 50, 100), (60, 40, 90)]
+    rows = sweep_count_ratio(grid, mc_reps=30, seed=2)
+    assert [r["master_seed"] for r in rows] == [2, 3, 4]
+    for (m, n, t), row in zip(grid, rows):
+        again = estimate_distinct_probability(m, n, t, reps=30, seed=row["master_seed"],
+                                              conditioned=True)
+        assert (again["p_distinct"], again["se"]) == (
+            row["p_distinct_conditioned"], row["p_distinct_se"]
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,76 @@ def test_parse_auto_sniffs_format():
     assert parse_auto("1 0 1\n0 1 0").graph.n == 3
     assert parse_auto("H1,E2\nH3,E4").graph.n == 2
     assert parse_auto("A,1,0\nB,0,1").graph.n == 2
+    assert parse_auto("1,0\n0,1").graph.edges.tolist() == [[0, 0], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "text,right_labels",
+    [("7,1\n9,1\n8,0", ["1", "0"]), ("2,1\n1,2\n3,3", ["1", "2", "3"])],
+)
+def test_parse_auto_reads_numeric_labels_as_an_edge_list(text, right_labels):
+    # a second field of 0 or 1 used to make the first read a 3 x 1 grid with
+    # 2 edges and the second a ParseError
+    d = parse_auto(text)
+    assert d.graph.t == 3
+    assert d.right_labels == right_labels
+    assert d.graph.edges.tolist() == parse_edge_list(text).graph.edges.tolist()
+
+
+def test_labelled_one_column_grid_needs_the_matrix_parser():
+    text = "A,1\nB,0\nC,1"
+    d = parse_matrix(text)
+    assert (d.left_labels, d.graph.n, d.graph.t) == (["A", "B", "C"], 1, 2)
+    assert parse_auto(text).graph.t == 3  # read as edges A-1, B-0, C-1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ",1,2,3\nA,1,0,1\nB,0,1,0",  # an empty corner cell
+        "1 2 3\nA 1 0 1\nB 0 1 0",  # one token shorter than the labelled rows
+    ],
+)
+def test_parse_matrix_accepts_numeric_column_labels(text):
+    d = parse_matrix(text)
+    assert d.left_labels == ["A", "B"]
+    assert d.right_labels == ["1", "2", "3"]
+    assert d.graph.edges.tolist() == [[0, 0], [0, 2], [1, 1]]
+
+
+@pytest.mark.parametrize("left", [["0", "1"], ["1", "2"]])
+def test_matrix_round_trip_with_numeric_row_labels(left):
+    # emit_matrix writes an empty corner; rows labelled 0 and 1 were read as
+    # unlabelled 3-cell rows, and a row labelled 1 among others failed
+    d = parse_edge_list(f"{left[0]},A\n{left[1]},B\n{left[1]},A")
+    again = parse_matrix(emit_matrix(d))
+    assert (again.left_labels, again.right_labels) == (left, ["A", "B"])
+    assert again.graph.edges.tolist() == [[0, 0], [1, 0], [1, 1]]
+
+
+def test_parse_matrix_header_without_corner_or_row_labels():
+    d = parse_matrix("C1 C2\n1 0\n0 1")
+    assert d.left_labels == ["L1", "L2"]
+    assert d.right_labels == ["C1", "C2"]
+    assert d.graph.edges.tolist() == [[0, 0], [1, 1]]
+
+
+def test_bad_first_data_row_is_not_taken_for_a_header():
+    with pytest.raises(ParseError, match="0 or 1, got '2'"):
+        parse_matrix("A,1,2\nB,0,1")
+
+
+def test_cat_fixture_parses_as_before():
+    # the one matrix fixture: 22 x 19 with a corner cell and an empty X column
+    d = load_fixture("human_cat")
+    assert (d.graph.m, d.graph.n, d.graph.t) == (22, 19, 32)
+    assert d.left_labels[0] == "H1" and d.right_labels[0] == "A1"
+    assert d.right_labels[-1] == "X"
+    digest = hashlib.sha256(d.graph.edges.tobytes())
+    digest.update(",".join(d.left_labels + d.right_labels).encode())
+    assert digest.hexdigest() == (
+        "90b2fafff7b648548cdea280c9ba00ac4c416e70dc6aa3dc1286c491e8126755"
+    )
 
 
 # ----------------------------------------------------------------------
