@@ -123,7 +123,7 @@ GR1_STREAM_SIZES = [(1, 1, 1), (2, 2, 2), (3, 5, 9), (64, 2, 300), (70, 70, 500)
 )
 def test_gr_draws_are_pinned(sampler, sizes, expected):
     # replicate i of a seed must keep giving the same graph: the sha256 of
-    # these edges over 30 streams a size is that of the first release
+    # these edges over 30 streams a size must not change
     digest = hashlib.sha256()
     for m, n, t in sizes:
         for i in range(30):
