@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -392,6 +393,50 @@ def test_estimate_distinct_probability_conditioned_in_bracket():
 # ----------------------------------------------------------------------
 # determinism and output
 # ----------------------------------------------------------------------
+
+
+GIANT_SAMPLED = ("largest_left_fraction", "largest_right_fraction", "largest_size",
+                 "second_largest_size", "n_components", "master_seed", "replicate_index",
+                 "m", "n", "t")
+CONNECTIVITY_SAMPLED = ("connected", "master_seed", "replicate_index", "m", "n", "t", "c")
+
+
+def _sweep_digest(rows, columns):
+    digest = hashlib.sha256(rows_to_csv(rows).split("\n", 1)[0].encode())
+    digest.update(repr([tuple(row[k] for k in columns) for row in rows]).encode())
+    return digest.hexdigest()
+
+
+def _tree_digest():
+    datasets = [load_fixture("human_monkey"), load_fixture("human_lemur")]
+    rows = run_tree_comparison(datasets, reps=137, seed=17)["rows"]
+    return hashlib.sha256(repr([(r["sim_mean"], r["sim_se"]) for r in rows]).encode()).hexdigest()
+
+
+def _count_ratio_digest():
+    rows = sweep_count_ratio([(50, 50, 100), (30, 40, 60)], mc_reps=300, seed=2)
+    return hashlib.sha256(repr([r["p_distinct_conditioned"] for r in rows]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "run,expected",
+    [
+        (lambda: _sweep_digest(sweep_giant([(300, 300, 580), (200, 300, 700)], reps=13, seed=3),
+                               GIANT_SAMPLED),
+         "8c6a7b0fbc4ad8924f95a4d4e047119581e6736170b4a713d4e5fa6a800af903"),
+        (lambda: _sweep_digest(sweep_connectivity(200, 300, [1.0, 1.5], reps=13, seed=3),
+                               CONNECTIVITY_SAMPLED),
+         "7d1272145476477f26d0fcc7615a061d4de215e9f2a5c2e36e05adce70628c33"),
+        (_tree_digest, "42b337103d6dd18f7740abb50577dfd09899697026c8650a124d42011fe489e2"),
+        (_count_ratio_digest, "3eb59bd2b73d7dfbb16b5c94f55e8a28f299056de89379dab980995246aa8775"),
+    ],
+    ids=["giant", "connectivity", "trees", "count-ratio"],
+)
+def test_experiment_outputs_are_pinned(run, expected):
+    # the sampled columns, the CSV header and the replicate bookkeeping of
+    # each experiment must not change; theory floats stay out, since the last
+    # bit of numpy's vectorised log and exp may differ between builds
+    assert run() == expected
 
 
 @pytest.mark.parametrize(
