@@ -590,6 +590,9 @@ class ModelSpec:
         if self.kind not in _MODELS:
             raise InputError(f"unknown model kind {self.kind!r}")
         _, check, field = _MODELS[self.kind]
+        other = "p" if field == "t" else "t"
+        if getattr(self, other) is not None:
+            raise InputError(f"model {self.kind!r} takes {field}, not {other}")
         check(self.m, self.n, getattr(self, field))
 
     def sample(self, rng: np.random.Generator | None = None) -> BipartiteMultigraph:

@@ -7,11 +7,14 @@ per-replicate rows. Rows are plain dicts with stable column names, ready
 for CSV or JSON.
 
 Every experiment hands its replicates to :func:`_run_replicates` as one
-point ``(job, t, seed)`` per grid point or dataset: a job mapping a block
-of streams to rows, the edge count t of each replicate, and the master
-seed. That function alone checks reps >= 0, threads >= 1 and seed >= 0; the
-sweeps add reps >= 1, and their graph points meet the ``tp`` precondition
-before anything is sampled.
+point ``(job, t)`` per grid point or dataset, a job mapping a block of
+streams to one value each and the edge count t of each replicate, together
+with the experiment's one master seed. Point k runs on master seed
+``seed + k``, a rule that function alone applies. It alone checks reps >= 0,
+threads >= 1 and seed >= 0; the sweeps add reps >= 1, and compute their
+theory columns and meet the ``tp`` precondition before anything is
+sampled. The giant and connectivity sweeps build their rows in
+:func:`_sweep`.
 
 Replicates run in lock-step blocks of consecutive indices, one rule for
 every experiment: each point's replicates are cut into the fewest blocks of
@@ -233,15 +236,11 @@ def _block_bounds(reps: int, cap: int) -> list[int]:
 
 
 def _run_block(
-    job: Callable[[list[np.random.Generator]], list[dict]], seed: int, start: int, stop: int
-) -> list[dict]:
-    """Rows of replicates start..stop-1 of master seed ``seed``, whose
+    job: Callable[[list[np.random.Generator]], list], seed: int, start: int, stop: int
+) -> list:
+    """Values of replicates start..stop-1 of master seed ``seed``, whose
     streams are derived together."""
-    rows = job(split_streams(seed, start, stop))
-    for i, row in zip(range(start, stop), rows):
-        row["master_seed"] = seed
-        row["replicate_index"] = i
-    return rows
+    return job(split_streams(seed, start, stop))
 
 
 def _block_cap(t: int) -> int:
@@ -250,32 +249,34 @@ def _block_cap(t: int) -> int:
 
 
 def _run_replicates(
-    points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int, int]],
+    points: Sequence[tuple[Callable[[list[np.random.Generator]], list], int]],
     reps: int,
+    seed: int,
     threads: int = 1,
-) -> list[list[dict]]:
-    """For each ``(job, t, seed)`` of ``points``, the rows of its replicates
-    0..reps-1 in index order. A job maps the streams of a block of
-    consecutive replicates to one picklable row each, and must itself be
-    picklable: a module-level function or a ``partial`` of one. Each point's
-    replicates are cut by :func:`_block_bounds` under :func:`_block_cap` of
-    its t. Replicate i of a point runs on ``split_stream(seed, i)`` whatever
-    the block and worker counts. Blocks run by descending t, a point's
-    blocks in index order. With ``threads`` > 1 and at least
-    ``_POOL_MIN_EDGES`` edges over all replicates, t each, every block goes
-    to the process pool in one map, and each point's cap is also at most
-    its even share of the replicates over the workers, so that the pool
-    gets a block for each worker. Raises InputError for reps < 0, threads < 1 or a negative seed
-    before any replicate runs: these run rules live here alone."""
+) -> list[list]:
+    """For the k-th ``(job, t)`` of ``points``, the values of its replicates
+    0..reps-1 in index order, run on master seed ``seed + k``: this is the
+    one place a point's master seed is derived. A job maps the streams of a
+    block of consecutive replicates to one picklable value each, and must
+    itself be picklable: a module-level function or a ``partial`` of one.
+    Each point's replicates are cut by :func:`_block_bounds` under
+    :func:`_block_cap` of its t. Replicate i of point k runs on
+    ``split_stream(seed + k, i)`` whatever the block and worker counts.
+    Blocks run by descending t, a point's blocks in index order. With
+    ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` edges over all
+    replicates, t each, every block goes to the process pool in one map,
+    and each point's cap is also at most its even share of the replicates
+    over the workers, so that the pool gets a block for each worker. Raises
+    InputError for reps < 0, threads < 1 or seed < 0 before any replicate
+    runs: these run rules live here alone."""
     if reps < 0:
         raise InputError(f"reps must be >= 0, got {reps}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    for _, _, seed in points:
-        if seed < 0:
-            raise InputError(f"seed must be >= 0, got {seed}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     workers = 1
-    if threads > 1 and reps * sum(t for _, t, _ in points) >= _POOL_MIN_EDGES:
+    if threads > 1 and reps * sum(t for _, t in points) >= _POOL_MIN_EDGES:
         workers = _pool_workers(threads, reps * len(points))
     # one block per point would leave a one-point sweep on one worker: on a
     # 2-vCPU VM, 45 giant replicates at (3000, 3000, 5792) took 72 ms as
@@ -285,9 +286,9 @@ def _run_replicates(
     # longest first (Graham's LPT rule): a pool's workers take blocks in
     # map order, so the short blocks fill in behind the long ones
     for k in sorted(range(len(points)), key=lambda k: -points[k][1]):
-        job, t, seed = points[k]
+        job, t = points[k]
         bounds = _block_bounds(reps, min(_block_cap(t), share))
-        tasks += [(job, seed, *span) for span in zip(bounds, bounds[1:])]
+        tasks += [(job, seed + k, *span) for span in zip(bounds, bounds[1:])]
         owners += [k] * (len(bounds) - 1)
     if workers == 1:
         blocks = [_run_block(*task) for task in tasks]
@@ -299,10 +300,28 @@ def _run_replicates(
         except BrokenProcessPool:
             _close_pool()  # a worker died; the next call starts a new pool
             raise
-    per_point: list[list[dict]] = [[] for _ in points]
-    for k, rows in zip(owners, blocks):
-        per_point[k] += rows
+    per_point: list[list] = [[] for _ in points]
+    for k, values in zip(owners, blocks):
+        per_point[k] += values
     return per_point
+
+
+def _sweep(
+    points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int]],
+    columns: Sequence[dict],
+    reps: int,
+    seed: int,
+    threads: int,
+) -> list[dict]:
+    """Raw rows of a replicated sweep: for replicate i of point k, the row
+    its job returns, then ``master_seed`` (seed + k) and ``replicate_index``
+    i, then the point's ``columns``."""
+    sims = _run_replicates(points, reps, seed, threads)
+    return [
+        {**row, "master_seed": seed + k, "replicate_index": i, **extra}
+        for k, (extra, point_rows) in enumerate(zip(columns, sims))
+        for i, row in enumerate(point_rows)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -312,16 +331,14 @@ def _run_replicates(
 
 def _tree_rows(
     m: int, n: int, t: int, shapes: Sequence[tuple[int, int]], rngs: list[np.random.Generator]
-) -> list[dict]:
+) -> list[list[int]]:
     """Per stream, the tree count of each shape in ``sample_tp(m, n, t, rng)``,
     the streams run as one lock-step block."""
     edges = sample_tp_edges(m, n, t, rngs)
     max_i = max(i for i, _ in shapes)
     max_j = max(j for _, j in shapes)
     rows, cols = zip(*shapes)
-    counts = block_tree_census(m, n, edges, max_i, max_j)[:, rows, cols]
-    keys = [f"{i},{j}" for i, j in shapes]
-    return [dict(zip(keys, row)) for row in counts.tolist()]
+    return block_tree_census(m, n, edges, max_i, max_j)[:, rows, cols].tolist()
 
 
 def run_tree_comparison(
@@ -339,8 +356,9 @@ def run_tree_comparison(
     expectations that disagree beyond 3 percent are flagged, not adopted.
 
     Replicate i of dataset d counts the trees of the graph that
-    ``sample_tp(m, n, t, split_stream(seed + d, i))`` returns. The replicates
-    run in near-equal lock-step blocks (:func:`sample_tp_edges` and
+    ``sample_tp(m, n, t, split_stream(seed + d, i))`` returns, dataset d
+    being point d of :func:`_run_replicates`. The replicates run in
+    near-equal lock-step blocks (:func:`sample_tp_edges` and
     :func:`block_tree_census`), the blocks of all datasets on the process
     pool when ``threads`` > 1; every stream stays with its replicate, so the
     report is the same for every ``threads``. With one replicate ``sim_se``
@@ -355,9 +373,7 @@ def run_tree_comparison(
         for ds in datasets
     ]
     sims = _run_replicates(
-        [(partial(_tree_rows, m, n, t, shapes), t, seed + d) for d, (m, n, t) in enumerate(sizes)],
-        reps,
-        threads,
+        [(partial(_tree_rows, m, n, t, shapes), t) for m, n, t in sizes], reps, seed, threads
     )
     shape_i, shape_j = np.array(shapes).T
     max_i = int(shape_i.max())
@@ -369,9 +385,10 @@ def run_tree_comparison(
         left, right = theory._side_rates(m, n, t)
         observed = tree_census(components(ds.graph), max_i, max_j)
         expected = theory.expected_trees(shape_i, shape_j, m, n, t)
-        for (i, j), ea in zip(shapes, expected.tolist()):
+        sim = np.array(raw, dtype=np.int64).reshape(reps, len(shapes))
+        for (i, j), ea, sim_counts in zip(shapes, expected.tolist(), sim.T):
             key = f"{i},{j}"
-            sim_mean, sim_se = _mean_se([r[key] for r in raw])
+            sim_mean, sim_se = _mean_se(sim_counts)
             ea_pub = pub.get("expected_trees", {}).get(key)
             obs_pub = pub.get("observed_trees", {}).get(key)
             obs = int(observed[i, j])
@@ -448,29 +465,23 @@ def sweep_giant(
     ``tp`` precondition, DomainError at t == max(m, n) (a mean degree of 1)."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
-    theories = []
+    columns = []
     for m, n, t in grid:
         _check_min_degree(m, n, t)
         left, right = theory._side_rates(m, n, t)
         ext = theory.extinction_probabilities(left.rate, right.rate)
-        theories.append(
+        columns.append(
             dict(
+                m=m,
+                n=n,
+                t=t,
                 rate_product=left.rate * right.rate,
                 giant_left_fraction=1.0 - ext.xi_left,
                 giant_right_fraction=1.0 - ext.xi_right,
             )
         )
-    sims = _run_replicates(
-        [(partial(_giant_rows, m, n, t), t, seed + k) for k, (m, n, t) in enumerate(grid)],
-        reps,
-        threads,
-    )
-    rows: list[dict] = []
-    for (m, n, t), extra, point_rows in zip(grid, theories, sims):
-        for row in point_rows:
-            row.update(m=m, n=n, t=t, **extra)
-            rows.append(row)
-    return rows
+    points = [(partial(_giant_rows, m, n, t), t) for m, n, t in grid]
+    return _sweep(points, columns, reps, seed, threads)
 
 
 def aggregate_giant_rows(rows: list[dict]) -> list[dict]:
@@ -526,24 +537,20 @@ def sweep_connectivity(
     """Raw per-replicate connectivity flags across a grid of the
     connectivity parameter c, with the finite-size obstruction (expected
     (1,1)-tree count) attached to every row. Raises InputError for reps < 1
-    or a c whose edge count breaks the ``tp`` precondition."""
+    or a c whose edge count breaks the ``tp`` precondition, and DomainError
+    for a c whose edge count is max(m, n) (a mean degree of 1), all before
+    any replicate runs."""
     if reps < 1:
         raise InputError("replicated sweeps need reps >= 1")
     edge_counts = [theory.connectivity_edge_count(m, n, c) for c in c_grid]
     for t in edge_counts:
         _check_min_degree(m, n, t)
-    sims = _run_replicates(
-        [(partial(_connectivity_rows, m, n, t), t, seed + k) for k, t in enumerate(edge_counts)],
-        reps,
-        threads,
-    )
-    rows: list[dict] = []
-    for c, t, point_rows in zip(c_grid, edge_counts, sims):
-        ea11 = theory.expected_trees(1, 1, m, n, t)
-        for row in point_rows:
-            row.update(m=m, n=n, t=t, c=c, expected_trees_11=ea11)
-            rows.append(row)
-    return rows
+    columns = [
+        dict(m=m, n=n, t=t, c=c, expected_trees_11=theory.expected_trees(1, 1, m, n, t))
+        for c, t in zip(c_grid, edge_counts)
+    ]
+    points = [(partial(_connectivity_rows, m, n, t), t) for t in edge_counts]
+    return _sweep(points, columns, reps, seed, threads)
 
 
 def aggregate_connectivity_rows(rows: list[dict]) -> list[dict]:
@@ -575,7 +582,7 @@ def aggregate_connectivity_rows(rows: list[dict]) -> list[dict]:
 
 def _distinct_rows(
     m: int, n: int, t: int, conditioned: bool, rngs: list[np.random.Generator]
-) -> list[dict]:
+) -> list[bool]:
     """Per stream, whether the t edge slots of one sample are distinct; the
     conditioned samples are drawn as one lock-step block."""
     if conditioned:
@@ -583,8 +590,7 @@ def _distinct_rows(
     else:
         codes = np.stack([_gr_codes(m, n, t, rng) for rng in rngs])
     codes.sort(axis=1)
-    distinct = (np.diff(codes, axis=1) != 0).all(axis=1)
-    return [{"distinct": d} for d in distinct.astype(int).tolist()]
+    return (np.diff(codes, axis=1) != 0).all(axis=1).tolist()
 
 
 def _distinct_estimates(
@@ -592,17 +598,16 @@ def _distinct_estimates(
 ) -> list[tuple[float, float]]:
     """Per (m, n, t) of ``grid``, the share of its ``reps`` replicates whose
     t edge slots are all distinct and the share's standard error, point k's
-    replicates on master seed seed + k, in lock-step blocks. No pair at
-    reps = 0, where the run rules are still checked."""
+    replicates on master seed seed + k (:func:`_run_replicates`), in
+    lock-step blocks. No pair at reps = 0, where the run rules are still
+    checked."""
     sims = _run_replicates(
-        [
-            (partial(_distinct_rows, m, n, t, conditioned), t, seed + k)
-            for k, (m, n, t) in enumerate(grid)
-        ],
+        [(partial(_distinct_rows, m, n, t, conditioned), t) for m, n, t in grid],
         reps,
+        seed,
         threads,
     )
-    return [_proportion(sum(r["distinct"] for r in raw), reps) for raw in sims if raw]
+    return [_proportion(sum(raw), reps) for raw in sims if raw]
 
 
 def estimate_distinct_probability(
@@ -642,10 +647,14 @@ def sweep_count_ratio(
     mc_reps > 0 also the conditioned distinct-edge probability against its
     analytic bracket. Point k's row gives its master seed, seed + k, on
     which its replicates run as :func:`estimate_distinct_probability` would
-    draw them. Raises InputError for mc_reps < 0, seed < 0 or threads < 1."""
-    estimates = _distinct_estimates(grid, mc_reps, seed, True, threads)
+    draw them. Every row's theory is computed before any replicate runs, so
+    a point at t == max(m, n) raises DomainError before sampling. Raises
+    InputError for mc_reps < 0, seed < 0, threads < 1 or, with mc_reps > 0,
+    a point that breaks the ``tp`` precondition."""
     rows = []
     for k, (m, n, t) in enumerate(grid):
+        if mc_reps > 0:
+            _check_min_degree(m, n, t)
         exact = theory.count_exact_log(m, n, t)
         asym = theory.count_asymptotic_log(m, n, t)
         lo, hi = theory.distinct_ratio_bracket(m, n, t)
@@ -663,7 +672,7 @@ def sweep_count_ratio(
                 "birthday_factor": theory.birthday_factor(m, n, t),
             }
         )
-    for row, (p_hat, se) in zip(rows, estimates):
+    for row, (p_hat, se) in zip(rows, _distinct_estimates(grid, mc_reps, seed, True, threads)):
         row.update(p_distinct_conditioned=p_hat, p_distinct_se=se)
     return rows
 

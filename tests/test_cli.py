@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oxgrid import harness
+from oxgrid import harness, theory
 from oxgrid.cli import _verify_oracle, main
 from oxgrid.ingest import fixture_names, load_fixture
 
@@ -49,6 +49,22 @@ def test_gen_precondition_exit_code(capsys):
     )
     assert code == 1
     assert "t >= max(m, n)" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--model", "tp", "--m", "3", "--n", "3", "--t", "5", "--p", "7"), "takes t, not p"),
+        (("--model", "er", "--m", "3", "--n", "3", "--t", "-4", "--p", "0.5"), "takes p, not t"),
+    ],
+    ids=["tp-with-p", "er-with-t"],
+)
+def test_gen_rejects_the_other_models_parameter(capsys, argv, message):
+    # the parameter was ignored, and written into the header all the same
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_unknown_flag_exit_code(capsys):
@@ -327,6 +343,27 @@ def test_verify_all_suites_pass(capsys):
     assert len(results) == 4
     assert all(line.startswith("PASS  ") for line in results)
     assert summary == "4/4 checks passed"
+
+
+@pytest.mark.parametrize(
+    "formula,failing,checks",
+    [
+        ("count_exact", "count (", "exact counts"),
+        ("labeled_tree_count", "labeled trees (", "labeled-tree"),
+    ],
+)
+def test_verify_reports_failures_and_exits_1(capsys, monkeypatch, formula, failing, checks):
+    # a formula off by one must fail each instance, its suite line and the run
+    exact = getattr(theory, formula)
+    monkeypatch.setattr(theory, formula, lambda *args: exact(*args) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--cap", "100")
+    assert code == 1
+    header, *results, summary = out.strip().split("\n")
+    failed = [line for line in results if line.startswith("FAIL  ")]
+    assert len(failed) == len(results) - 1 >= 2
+    assert all(line.startswith("FAIL  " + failing) for line in failed[:-1])
+    assert failed[-1].startswith("FAIL  " + checks)
+    assert summary == f"1/{len(results)} checks passed"
 
 
 def test_verify_oracle_counts_every_instance_within_the_cap():

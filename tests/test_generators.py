@@ -156,6 +156,12 @@ def test_gr_multiset_counts_cover_sides_over_62(rng):
         assert set((codes % n).tolist()) == set(range(n))
 
 
+@pytest.mark.parametrize("tally", [tp_multiset_counts, gr_multiset_counts])
+def test_multiset_counts_need_a_sample(tally):
+    with pytest.raises(InputError, match="samples must be >= 1"):
+        tally(3, 3, 5, 0, make_stream(0))
+
+
 def test_gr_multiset_counts_checks_the_triple():
     # t < max(m, n) leaves a vertex isolated in every draw: the rejection
     # loop would never end
@@ -660,6 +666,11 @@ def test_model_spec_validation():
         ModelSpec(kind="er", m=3, n=3, p=1.2)
     with pytest.raises(InputError):
         ModelSpec(kind="gr", m=3, n=3)
+    # a model takes its own parameter only: t for gr, gr1 and tp, p for er
+    with pytest.raises(InputError, match="takes t, not p"):
+        ModelSpec(kind="gr", m=3, n=3, t=5, p=0.5)
+    with pytest.raises(InputError, match="takes p, not t"):
+        ModelSpec(kind="er", m=3, n=3, t=5, p=0.5)
 
 
 @pytest.mark.parametrize(

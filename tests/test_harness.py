@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oxgrid import harness
-from oxgrid.errors import AttemptsExhausted, InputError
+from oxgrid.errors import AttemptsExhausted, DomainError, InputError
 from oxgrid.generators import sample_gr, sample_tp, sample_tp_edges
 from oxgrid.graph import components, tree_census
 from oxgrid.harness import (
@@ -322,6 +322,25 @@ def test_sweep_connectivity_rejects_tiny_c():
         sweep_connectivity(400, 400, [0.05], reps=1)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sweep_connectivity(50, 50, [0.4343], reps=3),
+        lambda: sweep_count_ratio([(40, 40, 40)], mc_reps=200),
+    ],
+    ids=["connectivity", "count-ratio"],
+)
+def test_sweeps_fail_on_a_unit_mean_degree_before_sampling(monkeypatch, run):
+    # t == max(m, n) meets the tp precondition, but its theory has no rate:
+    # the sweep must say so before it samples any replicate
+    def never(*args):
+        raise AssertionError("sampled before its theory was computed")
+
+    monkeypatch.setattr(harness, "sample_tp_edges", never)
+    with pytest.raises(DomainError):
+        run()
+
+
 def test_sweep_count_ratio_rows():
     rows = sweep_count_ratio([(50, 50, 100), (80, 80, 160)], mc_reps=0, seed=0)
     assert [r["m"] for r in rows] == [50, 80]
@@ -354,6 +373,15 @@ def test_sweep_count_ratio_rejects_bad_inputs(kwargs):
         sweep_count_ratio([(50, 50, 100)], **kwargs)
 
 
+def test_sweep_count_ratio_samples_only_tp_points():
+    # with replicates to run, t < max(m, n) breaks the tp precondition; with
+    # none, the asymptotic count alone has no rate to solve
+    with pytest.raises(InputError, match="t >= max"):
+        sweep_count_ratio([(50, 50, 100), (50, 50, 40)], mc_reps=5)
+    with pytest.raises(DomainError):
+        sweep_count_ratio([(50, 50, 40)], mc_reps=0)
+
+
 def test_estimate_distinct_probability_unconditioned_matches_product():
     m = n = 100
     t = 50
@@ -372,7 +400,7 @@ def test_distinct_rows_of_a_block_match_one_stream_samples(m, n, t, conditioned)
     for i in range(40):
         edges = sampler(m, n, t, split_stream(6, i)).edges
         expected.append(len({tuple(e) for e in edges.tolist()}) == t)
-    assert [r["distinct"] for r in rows] == [int(d) for d in expected]
+    assert rows == expected
     if t > 1:
         assert 0 < sum(expected) < 40
 
@@ -482,7 +510,7 @@ def _dying_job(rngs):
 
 def test_pooled_errors_reach_the_caller_with_their_type():
     with pytest.raises(AttemptsExhausted, match="no candidate accepted"):
-        harness._run_replicates([(_exhausted_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
+        harness._run_replicates([(_exhausted_job, harness._POOL_MIN_EDGES)], 4, 0, threads=2)
     # t < max(m, n) fails inside sample_tp_edges, in a worker: 129 replicates
     # are two lock-step blocks, so two tasks
     with pytest.raises(InputError, match="t=2000 < max"):
@@ -496,26 +524,26 @@ def test_a_dead_worker_breaks_only_the_call_it_was_running():
     from concurrent.futures.process import BrokenProcessPool
 
     with pytest.raises(BrokenProcessPool):
-        harness._run_replicates([(_dying_job, harness._POOL_MIN_EDGES, 0)], 4, threads=2)
+        harness._run_replicates([(_dying_job, harness._POOL_MIN_EDGES)], 4, 0, threads=2)
     assert harness._pool is None
     grid = [(3000, 3000, 5792)]
     assert sweep_giant(grid, reps=6, seed=4, threads=2) == sweep_giant(grid, reps=6, seed=4)
 
 
 @pytest.mark.parametrize(
-    "reps,threads,seeds,message",
+    "reps,threads,seed,message",
     [
-        (-1, 1, (0,), "reps must be >= 0"),
-        (3, 0, (0,), "threads must be >= 1"),
-        (3, 1, (2, -1), "seed must be >= 0"),
+        (-1, 1, 0, "reps must be >= 0"),
+        (3, 0, 0, "threads must be >= 1"),
+        (3, 1, -1, "seed must be >= 0"),
     ],
     ids=["reps", "threads", "seed"],
 )
-def test_run_rules_are_checked_before_any_job_runs(reps, threads, seeds, message):
+def test_run_rules_are_checked_before_any_job_runs(reps, threads, seed, message):
     calls = []
-    points = [(calls.append, 10, seed) for seed in seeds]
+    points = [(calls.append, 10), (calls.append, 10)]
     with pytest.raises(InputError, match=message):
-        harness._run_replicates(points, reps, threads=threads)
+        harness._run_replicates(points, reps, seed, threads=threads)
     assert calls == []
 
 

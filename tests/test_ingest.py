@@ -90,6 +90,16 @@ def test_parse_matrix_errors():
         parse_matrix(",X,X\nA,1,0\nB,0,1")
     with pytest.raises(EmptyError):
         parse_matrix("")
+    with pytest.raises(ParseError, match="line 3: ragged"):
+        parse_matrix(",C1,C2\nR1,1,0\nR2,1\n")
+    # a row-label column and nothing else
+    with pytest.raises(EmptyError, match="no columns"):
+        parse_matrix("A\nB\n")
+
+
+def test_parse_auto_of_comments_alone_is_empty():
+    with pytest.raises(EmptyError, match="empty input"):
+        parse_auto("# header\n  # another\n\n")
 
 
 def test_parse_auto_sniffs_format():

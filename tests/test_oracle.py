@@ -222,6 +222,12 @@ def test_equivalence_single_outcome_is_exact():
     assert report.passed
 
 
+def test_equivalence_below_max_side_has_no_law_to_test():
+    # t < max(m, n): no sequence covers every vertex, so there is nothing to compare
+    with pytest.raises(SizeError, match="no valid outcomes"):
+        tp_equivalence_test(2, 3, 2, 100, make_stream(0))
+
+
 def test_equivalence_small_campaign():
     report = tp_equivalence_test(2, 2, 2, 50_000, make_stream(2))
     assert report.passed

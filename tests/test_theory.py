@@ -516,6 +516,21 @@ def test_predict_rejects_a_negative_edge_count():
         predict(5, 5, -1)
 
 
+@pytest.mark.parametrize(
+    "i,j,m,n,t",
+    [(3, 1, 2, 3, 4), (1, 4, 3, 3, 5), (3, 3, 3, 3, 3)],
+    ids=["i-over-m", "j-over-n", "t-below-tree-edges"],
+)
+def test_expected_trees_exact_is_zero_for_a_tree_that_cannot_fit(i, j, m, n, t):
+    # a side larger than the graph's, or more tree edges (i + j - 1) than t
+    assert expected_trees_exact(i, j, m, n, t) == 0.0
+
+
+def test_predict_needs_a_tree_shape():
+    with pytest.raises(InputError, match="max_tree must be >= 1"):
+        predict(5, 5, 8, max_tree=0)
+
+
 def test_expected_trees_exact_rejects_every_shape_of_an_uncoverable_triple():
     # (5, 1) at (2, 2, 1) used to return 0.0 where (1, 1) raised
     for i, j in [(1, 1), (5, 1)]:
