@@ -6,14 +6,14 @@ Every experiment takes a master seed; replicate ``i`` always runs on
 per-replicate rows. Rows are plain dicts with stable column names, ready
 for CSV or JSON.
 
-Every experiment hands its replicates to :func:`_run_replicates` as one
-point ``(job, t)`` per grid point or dataset, a job mapping a block of
-streams to one value each and the edge count t of each replicate, together
-with the experiment's one master seed. Point k runs on master seed
-``seed + k``, a rule that function alone applies. It alone checks reps >= 0,
-threads >= 1 and seed >= 0; the sweeps add reps >= 1, and compute their
-theory columns and meet the ``tp`` precondition before anything is
-sampled. The giant and connectivity sweeps build their rows in
+Every experiment hands its replicates to :func:`_run_replicates` with its
+one master seed, as one point ``(job, t)`` per grid point or dataset: a job
+that maps a block of streams to one plain value per replicate, and the edge
+count t of each replicate. Point k runs on master seed ``seed + k``; that
+function alone applies this rule, and alone checks reps >= 0, threads >= 1
+and seed >= 0. The sweeps add reps >= 1, and compute their theory and check
+the ``tp`` precondition of the points they sample before anything is
+sampled; the giant and connectivity sweeps build their rows in
 :func:`_sweep`.
 
 Replicates run in lock-step blocks of consecutive indices, one rule for
