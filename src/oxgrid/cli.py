@@ -5,7 +5,8 @@ single objects go out as JSON, row-oriented sweeps as CSV. Every stochastic
 command requires or defaults-and-echoes a seed.
 
 Exit codes: 0 success, 1 domain/validation error (including failed
-verification), 2 I/O error, 3 internal error.
+verification), 2 I/O error (including input that is not UTF-8 text or, for
+a sweep config, not JSON), 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from . import harness, oracle, theory
@@ -87,10 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweeps, CSV out")
-    p.add_argument("kind", choices=["giant", "connectivity", "count-ratio"])
+    p.add_argument("kind", choices=list(_SWEEPS))
     p.add_argument("--config", type=Path, required=True)
     p.add_argument(
-        "--aggregate", action="store_true", help="one row per point (giant and connectivity)"
+        "--aggregate",
+        action="store_true",
+        help="one row per grid point, in grid order (giant and connectivity)",
     )
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=Path)
@@ -193,30 +197,48 @@ def _cmd_trees(args) -> int:
     return 0
 
 
+# per sweep kind: how to run a config with a thread count, and the aggregate
+# of one point's raw rows, None where the raw rows are already one per point
+_SWEEPS = {
+    "giant": (
+        lambda config, threads: harness.sweep_giant(
+            config.grid, config.reps, config.seed, threads=threads
+        ),
+        harness.aggregate_giant_rows,
+    ),
+    "connectivity": (
+        lambda config, threads: harness.sweep_connectivity(
+            config.m, config.n, config.grid, config.reps, config.seed, threads=threads
+        ),
+        harness.aggregate_connectivity_rows,
+    ),
+    "count-ratio": (
+        lambda config, threads: harness.sweep_count_ratio(
+            config.grid, mc_reps=config.reps, seed=config.seed, threads=threads
+        ),
+        None,
+    ),
+}
+
+
 def _cmd_sweep(args) -> int:
     config = harness.ExperimentConfig.from_dict(json.loads(args.config.read_text()))
     if config.kind != args.kind:
         raise InputError(f"config kind {config.kind!r} does not match subcommand {args.kind!r}")
-    if args.aggregate and args.kind == "count-ratio":
+    run, aggregate = _SWEEPS[args.kind]
+    if args.aggregate and aggregate is None:
         raise InputError("--aggregate applies to giant and connectivity sweeps; "
                          "count-ratio already writes one row per point")
-    if args.kind == "giant":
-        rows = harness.sweep_giant(
-            [tuple(g) for g in config.grid], config.reps, config.seed, threads=args.threads
-        )
-        if args.aggregate:
-            rows = harness.aggregate_giant_rows(rows)
-    elif args.kind == "connectivity":
-        rows = harness.sweep_connectivity(
-            config.m, config.n, config.grid, config.reps, config.seed, threads=args.threads
-        )
-        if args.aggregate:
-            rows = harness.aggregate_connectivity_rows(rows)
-    else:
-        rows = harness.sweep_count_ratio(
-            [tuple(g) for g in config.grid], mc_reps=config.reps, seed=config.seed,
-            threads=args.threads,
-        )
+    rows = run(config, args.threads)
+    if args.aggregate:
+        # one row per grid point, in grid order: a point's raw rows are
+        # consecutive and share its master seed, so a repeated point stays
+        # its own row
+        rows = [
+            row
+            for _, point in groupby(rows, key=lambda row: row["master_seed"])
+            for row in aggregate(list(point))
+        ]
     _emit(harness.rows_to_csv(rows), args.out)
     return 0
 
@@ -321,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except OxgridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

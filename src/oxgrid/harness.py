@@ -10,11 +10,14 @@ Every experiment hands its replicates to :func:`_run_replicates` with its
 one master seed, as one point ``(job, t)`` per grid point or dataset: a job
 that maps a block of streams to one plain value per replicate, and the edge
 count t of each replicate. Point k runs on master seed ``seed + k``; that
-function alone applies this rule, and alone checks reps >= 0, threads >= 1
-and seed >= 0. The sweeps add reps >= 1, and compute their theory and check
-the ``tp`` precondition of the points they sample before anything is
-sampled; the giant and connectivity sweeps build their rows in
-:func:`_sweep`.
+function alone applies this rule and returns each point's seed with its
+values, and alone checks reps >= 0, threads >= 1 and seed >= 0. Every sweep
+checks the ``tp`` precondition of the points it samples and computes their
+theory before anything is sampled. The giant and connectivity sweeps are
+one per-point column builder each; :func:`_sweep` checks reps >= 1, runs
+their points and builds their raw rows. Their aggregates reduce the rows of
+each point, grouped in one pass by :func:`_aggregate`: rows of equal point
+pool into one row, whichever call made them.
 
 Replicates run in lock-step blocks of consecutive indices, one rule for
 every experiment: each point's replicates are cut into the fewest blocks of
@@ -161,9 +164,13 @@ class ExperimentConfig:
                                  f"got {point!r}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"kind", "grid", "reps", "seed", "m", "n"}
-        unknown = set(data) - known
+    def from_dict(cls, data: object) -> "ExperimentConfig":
+        """The config a decoded JSON value describes. Raises InputError for
+        a value that is not an object with a ``kind``, or that has keys the
+        config does not take."""
+        if not isinstance(data, dict) or "kind" not in data:
+            raise InputError("a sweep config is a JSON object with a kind")
+        unknown = set(data) - {"kind", "grid", "reps", "seed", "m", "n"}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -253,18 +260,18 @@ def _run_replicates(
     reps: int,
     seed: int,
     threads: int = 1,
-) -> list[list]:
-    """For the k-th ``(job, t)`` of ``points``, the values of its replicates
-    0..reps-1 in index order, run on master seed ``seed + k``: this is the
-    one place a point's master seed is derived. A job maps the streams of a
-    block of consecutive replicates to one picklable value each, and must
-    itself be picklable: a module-level function or a ``partial`` of one.
-    Each point's replicates are cut by :func:`_block_bounds` under
-    :func:`_block_cap` of its t. Replicate i of point k runs on
-    ``split_stream(seed + k, i)`` whatever the block and worker counts.
-    Blocks run by descending t, a point's blocks in index order. With
-    ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` edges over all
-    replicates, t each, every block goes to the process pool in one map,
+) -> list[tuple[int, list]]:
+    """For the k-th ``(job, t)`` of ``points``, its master seed ``seed + k``
+    and the values of its replicates 0..reps-1 in index order: this is the
+    one place a point's master seed is derived, and callers take it from
+    here. A job maps the streams of a block of consecutive replicates to one
+    picklable value each, and must itself be picklable: a module-level
+    function or a ``partial`` of one. Each point's replicates are cut by
+    :func:`_block_bounds` under :func:`_block_cap` of its t. Replicate i of
+    point k runs on ``split_stream(seed + k, i)`` whatever the block and
+    worker counts. Blocks run by descending t, a point's blocks in index
+    order. With ``threads`` > 1 and at least ``_POOL_MIN_EDGES`` edges over
+    all replicates, t each, every block goes to the process pool in one map,
     and each point's cap is also at most its even share of the replicates
     over the workers, so that the pool gets a block for each worker. Raises
     InputError for reps < 0, threads < 1 or seed < 0 before any replicate
@@ -300,28 +307,46 @@ def _run_replicates(
         except BrokenProcessPool:
             _close_pool()  # a worker died; the next call starts a new pool
             raise
-    per_point: list[list] = [[] for _ in points]
+    per_point = [(seed + k, []) for k in range(len(points))]
     for k, values in zip(owners, blocks):
-        per_point[k] += values
+        per_point[k][1].extend(values)
     return per_point
 
 
 def _sweep(
-    points: Sequence[tuple[Callable[[list[np.random.Generator]], list[dict]], int]],
+    job: Callable[..., list[dict]],
     columns: Sequence[dict],
     reps: int,
     seed: int,
     threads: int,
 ) -> list[dict]:
-    """Raw rows of a replicated sweep: for replicate i of point k, the row
-    its job returns, then ``master_seed`` (seed + k) and ``replicate_index``
-    i, then the point's ``columns``."""
-    sims = _run_replicates(points, reps, seed, threads)
+    """Raw rows of a replicated sweep with one point per dict of
+    ``columns``, which holds the point's m, n and t. Point k samples its
+    replicates with ``partial(job, m, n, t)`` on the master seed that
+    :func:`_run_replicates` gives it, and replicate i's row is the one the
+    job returns, then ``master_seed`` and ``replicate_index`` i, then the
+    point's ``columns``. Raises InputError for reps < 1."""
+    if reps < 1:
+        raise InputError("replicated sweeps need reps >= 1")
+    sims = _run_replicates(
+        [(partial(job, c["m"], c["n"], c["t"]), c["t"]) for c in columns], reps, seed, threads
+    )
     return [
-        {**row, "master_seed": seed + k, "replicate_index": i, **extra}
-        for k, (extra, point_rows) in enumerate(zip(columns, sims))
+        {**row, "master_seed": point_seed, "replicate_index": i, **extra}
+        for extra, (point_seed, point_rows) in zip(columns, sims)
         for i, row in enumerate(point_rows)
     ]
+
+
+def _aggregate(
+    rows: Iterable[dict], key: Sequence[str], summary: Callable[[list[dict]], dict]
+) -> list[dict]:
+    """``summary`` of each group of ``rows`` that agree on the ``key``
+    columns, one pass over the rows, the groups in sorted key order."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[k] for k in key), []).append(row)
+    return [summary(groups[k]) for k in sorted(groups)]
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +405,7 @@ def run_tree_comparison(
     max_j = int(shape_j.max())
     rows: list[dict] = []
     flags: list[str] = []
-    for ds, (m, n, t), raw in zip(datasets, sizes, sims):
+    for ds, (m, n, t), (_, raw) in zip(datasets, sizes, sims):
         pub = ds.published or {}
         left, right = theory._side_rates(m, n, t)
         observed = tree_census(components(ds.graph), max_i, max_j)
@@ -462,9 +487,8 @@ def sweep_giant(
     """Raw per-replicate rows: largest-component side fractions and sizes
     for each (m, n, t) grid point, plus the analytic giant fractions. A point
     needs t > max(m, n): InputError for reps < 1 or a point that breaks the
-    ``tp`` precondition, DomainError at t == max(m, n) (a mean degree of 1)."""
-    if reps < 1:
-        raise InputError("replicated sweeps need reps >= 1")
+    ``tp`` precondition, DomainError at t == max(m, n) (a mean degree of 1),
+    all before any replicate runs."""
     columns = []
     for m, n, t in grid:
         _check_min_degree(m, n, t)
@@ -480,36 +504,36 @@ def sweep_giant(
                 giant_right_fraction=1.0 - ext.xi_right,
             )
         )
-    points = [(partial(_giant_rows, m, n, t), t) for m, n, t in grid]
-    return _sweep(points, columns, reps, seed, threads)
+    return _sweep(_giant_rows, columns, reps, seed, threads)
+
+
+def _giant_summary(group: list[dict]) -> dict:
+    """One aggregate row of the raw rows of one giant point."""
+    lf, lf_se = _mean_se([r["largest_left_fraction"] for r in group])
+    rf, rf_se = _mean_se([r["largest_right_fraction"] for r in group])
+    return {
+        "m": group[0]["m"],
+        "n": group[0]["n"],
+        "t": group[0]["t"],
+        "reps": len(group),
+        "master_seed": group[0]["master_seed"],
+        "rate_product": group[0]["rate_product"],
+        "giant_left_fraction": group[0]["giant_left_fraction"],
+        "giant_right_fraction": group[0]["giant_right_fraction"],
+        "mean_largest_left_fraction": lf,
+        "se_largest_left_fraction": lf_se,
+        "mean_largest_right_fraction": rf,
+        "se_largest_right_fraction": rf_se,
+        "max_largest_size": max(r["largest_size"] for r in group),
+        "max_second_largest_size": max(r["second_largest_size"] for r in group),
+    }
 
 
 def aggregate_giant_rows(rows: list[dict]) -> list[dict]:
-    """One row per (m, n, t): empirical means and standard errors."""
-    out = []
-    for key in sorted({(r["m"], r["n"], r["t"]) for r in rows}):
-        group = [r for r in rows if (r["m"], r["n"], r["t"]) == key]
-        lf, lf_se = _mean_se([r["largest_left_fraction"] for r in group])
-        rf, rf_se = _mean_se([r["largest_right_fraction"] for r in group])
-        out.append(
-            {
-                "m": key[0],
-                "n": key[1],
-                "t": key[2],
-                "reps": len(group),
-                "master_seed": group[0]["master_seed"],
-                "rate_product": group[0]["rate_product"],
-                "giant_left_fraction": group[0]["giant_left_fraction"],
-                "giant_right_fraction": group[0]["giant_right_fraction"],
-                "mean_largest_left_fraction": lf,
-                "se_largest_left_fraction": lf_se,
-                "mean_largest_right_fraction": rf,
-                "se_largest_right_fraction": rf_se,
-                "max_largest_size": max(r["largest_size"] for r in group),
-                "max_second_largest_size": max(r["second_largest_size"] for r in group),
-            }
-        )
-    return out
+    """One row per (m, n, t), in sorted order: empirical means and standard
+    errors. Rows of equal (m, n, t) pool into one row, whichever sweep call
+    made them, and the row gives the first one's ``master_seed``."""
+    return _aggregate(rows, ("m", "n", "t"), _giant_summary)
 
 
 # ----------------------------------------------------------------------
@@ -540,39 +564,38 @@ def sweep_connectivity(
     or a c whose edge count breaks the ``tp`` precondition, and DomainError
     for a c whose edge count is max(m, n) (a mean degree of 1), all before
     any replicate runs."""
-    if reps < 1:
-        raise InputError("replicated sweeps need reps >= 1")
-    edge_counts = [theory.connectivity_edge_count(m, n, c) for c in c_grid]
-    for t in edge_counts:
+    columns = []
+    for c in c_grid:
+        t = theory.connectivity_edge_count(m, n, c)
         _check_min_degree(m, n, t)
-    columns = [
-        dict(m=m, n=n, t=t, c=c, expected_trees_11=theory.expected_trees(1, 1, m, n, t))
-        for c, t in zip(c_grid, edge_counts)
-    ]
-    points = [(partial(_connectivity_rows, m, n, t), t) for t in edge_counts]
-    return _sweep(points, columns, reps, seed, threads)
+        columns.append(
+            dict(m=m, n=n, t=t, c=c, expected_trees_11=theory.expected_trees(1, 1, m, n, t))
+        )
+    return _sweep(_connectivity_rows, columns, reps, seed, threads)
+
+
+def _connectivity_summary(group: list[dict]) -> dict:
+    """One aggregate row of the raw rows of one connectivity point."""
+    p_hat, se = _proportion(sum(r["connected"] for r in group), len(group))
+    return {
+        "m": group[0]["m"],
+        "n": group[0]["n"],
+        "t": group[0]["t"],
+        "c": group[0]["c"],
+        "reps": len(group),
+        "master_seed": group[0]["master_seed"],
+        "p_connected": p_hat,
+        "se": se,
+        "expected_trees_11": group[0]["expected_trees_11"],
+    }
 
 
 def aggregate_connectivity_rows(rows: list[dict]) -> list[dict]:
-    """One row per c: empirical connection probability with binomial SE."""
-    out = []
-    for c in sorted({r["c"] for r in rows}):
-        group = [r for r in rows if r["c"] == c]
-        p_hat, se = _proportion(sum(r["connected"] for r in group), len(group))
-        out.append(
-            {
-                "m": group[0]["m"],
-                "n": group[0]["n"],
-                "t": group[0]["t"],
-                "c": c,
-                "reps": len(group),
-                "master_seed": group[0]["master_seed"],
-                "p_connected": p_hat,
-                "se": se,
-                "expected_trees_11": group[0]["expected_trees_11"],
-            }
-        )
-    return out
+    """One row per (m, n, t, c), in sorted order, so by c at one (m, n):
+    empirical connection probability with binomial SE. Rows of equal
+    (m, n, t, c) pool into one row, whichever sweep call made them, and the
+    row gives the first one's ``master_seed``."""
+    return _aggregate(rows, ("m", "n", "t", "c"), _connectivity_summary)
 
 
 # ----------------------------------------------------------------------
@@ -593,23 +616,6 @@ def _distinct_rows(
     return (np.diff(codes, axis=1) != 0).all(axis=1).tolist()
 
 
-def _distinct_estimates(
-    grid: Sequence[tuple[int, int, int]], reps: int, seed: int, conditioned: bool, threads: int
-) -> list[tuple[float, float]]:
-    """Per (m, n, t) of ``grid``, the share of its ``reps`` replicates whose
-    t edge slots are all distinct and the share's standard error, point k's
-    replicates on master seed seed + k (:func:`_run_replicates`), in
-    lock-step blocks. No pair at reps = 0, where the run rules are still
-    checked."""
-    sims = _run_replicates(
-        [(partial(_distinct_rows, m, n, t, conditioned), t) for m, n, t in grid],
-        reps,
-        seed,
-        threads,
-    )
-    return [_proportion(sum(raw), reps) for raw in sims if raw]
-
-
 def estimate_distinct_probability(
     m: int,
     n: int,
@@ -624,7 +630,10 @@ def estimate_distinct_probability(
     via the configuration model."""
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
-    ((p_hat, se),) = _distinct_estimates([(m, n, t)], reps, seed, conditioned, threads)
+    ((_, raw),) = _run_replicates(
+        [(partial(_distinct_rows, m, n, t, conditioned), t)], reps, seed, threads
+    )
+    p_hat, se = _proportion(sum(raw), reps)
     return {
         "m": m,
         "n": n,
@@ -645,25 +654,21 @@ def sweep_count_ratio(
 ) -> list[dict]:
     """Per (m, n, t): exact and asymptotic log counts and their ratio; with
     mc_reps > 0 also the conditioned distinct-edge probability against its
-    analytic bracket. Point k's row gives its master seed, seed + k, on
+    analytic bracket. Each row gives the master seed its point ran on, on
     which its replicates run as :func:`estimate_distinct_probability` would
     draw them. Every row's theory is computed before any replicate runs, so
     a point at t == max(m, n) raises DomainError before sampling. Raises
     InputError for mc_reps < 0, seed < 0, threads < 1 or, with mc_reps > 0,
     a point that breaks the ``tp`` precondition."""
-    rows = []
-    for k, (m, n, t) in enumerate(grid):
+    columns = []
+    for m, n, t in grid:
         if mc_reps > 0:
             _check_min_degree(m, n, t)
         exact = theory.count_exact_log(m, n, t)
         asym = theory.count_asymptotic_log(m, n, t)
         lo, hi = theory.distinct_ratio_bracket(m, n, t)
-        rows.append(
+        columns.append(
             {
-                "m": m,
-                "n": n,
-                "t": t,
-                "master_seed": seed + k,
                 "log_count_exact": exact,
                 "log_count_asymptotic": asym,
                 "exact_over_asymptotic": math.exp(exact - asym),
@@ -672,8 +677,15 @@ def sweep_count_ratio(
                 "birthday_factor": theory.birthday_factor(m, n, t),
             }
         )
-    for row, (p_hat, se) in zip(rows, _distinct_estimates(grid, mc_reps, seed, True, threads)):
-        row.update(p_distinct_conditioned=p_hat, p_distinct_se=se)
+    sims = _run_replicates(
+        [(partial(_distinct_rows, m, n, t, True), t) for m, n, t in grid], mc_reps, seed, threads
+    )
+    rows = []
+    for (m, n, t), extra, (point_seed, raw) in zip(grid, columns, sims):
+        row = {"m": m, "n": n, "t": t, "master_seed": point_seed, **extra}
+        if raw:  # no estimate at mc_reps = 0, where the run rules are still checked
+            row["p_distinct_conditioned"], row["p_distinct_se"] = _proportion(sum(raw), mc_reps)
+        rows.append(row)
     return rows
 
 

@@ -327,6 +327,72 @@ def test_sweep_bad_json_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["5", "null", "{}", '"giant"'],
+                         ids=["number", "null", "no-kind", "string"])
+def test_sweep_config_that_is_not_an_object_with_a_kind_exits_1(capsys, tmp_path, text):
+    # these exited 3 with a TypeError, and "giant" was read as the keys g, i, a, n, t
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "sweep", "giant", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert "JSON object with a kind" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", "--in"), ("sweep", "giant", "--config")], ids=["analyze", "sweep"]
+)
+def test_undecodable_input_bytes_are_an_io_error(capsys, tmp_path, argv):
+    # undecodable bytes exited 3 with an internal UnicodeDecodeError
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("i/o error:")
+
+
+def _aggregate_csv(capsys, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "sweep", config["kind"], "--config", str(path), "--aggregate")
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().split("\n"))
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "connectivity", "m": 200, "n": 200, "grid": [1.0, 1.0]},
+        {"kind": "giant", "grid": [[300, 300, 580]] * 2},
+    ],
+    ids=["connectivity", "giant"],
+)
+def test_aggregate_keeps_a_repeated_point_apart(capsys, tmp_path, config):
+    # a repeated point merged into one row of 6 replicates labelled with seed
+    # 5 only, though its second copy ran on seed 6
+    rows = _aggregate_csv(capsys, tmp_path, {**config, "reps": 3, "seed": 5})
+    assert [(r["reps"], r["master_seed"]) for r in rows] == [("3", "5"), ("3", "6")]
+
+
+@pytest.mark.parametrize(
+    "config,column,expected",
+    [
+        ({"kind": "giant", "grid": [[500, 500, 965], [300, 300, 580], [400, 400, 780]]},
+         "m", ["500", "300", "400"]),
+        ({"kind": "connectivity", "m": 200, "n": 200, "grid": [1.6, 0.8, 1.2]},
+         "c", ["1.6", "0.8", "1.2"]),
+    ],
+    ids=["giant", "connectivity"],
+)
+def test_aggregate_rows_follow_the_grid_order(capsys, tmp_path, config, column, expected):
+    # the aggregate rows came out sorted by point, whatever the grid order
+    rows = _aggregate_csv(capsys, tmp_path, {**config, "reps": 2, "seed": 1})
+    assert [r[column] for r in rows] == expected
+    assert [r["master_seed"] for r in rows] == ["1", "2", "3"]
+
+
 def test_verify_equivalence_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "equivalence",
                            "--samples", "20000")

@@ -565,6 +565,45 @@ def test_rows_carry_seeds_and_aggregate_is_recomputable():
     assert agg["mean_largest_left_fraction"] == pytest.approx(manual, rel=1e-15)
 
 
+def test_connectivity_aggregate_keeps_sizes_apart_at_one_c():
+    # rows of (200, 200) and (300, 300) at c = 1.0 merged into one row
+    # labelled with the first size's m, n and t
+    rows = sweep_connectivity(200, 200, [1.0], reps=3, seed=5)
+    rows += sweep_connectivity(300, 300, [1.0], reps=4, seed=6)
+    agg = aggregate_connectivity_rows(rows)
+    assert [(r["m"], r["n"], r["c"], r["reps"], r["master_seed"]) for r in agg] == [
+        (200, 200, 1.0, 3, 5),
+        (300, 300, 1.0, 4, 6),
+    ]
+    assert agg[0]["t"] < agg[1]["t"]
+
+
+@pytest.mark.parametrize(
+    "sweep,aggregate,key,raw,mean",
+    [
+        (lambda seed: sweep_giant([(300, 300, 580), (200, 300, 700)], reps=3, seed=seed),
+         aggregate_giant_rows, ("m", "n", "t"), "largest_left_fraction",
+         "mean_largest_left_fraction"),
+        (lambda seed: sweep_connectivity(200, 200, [1.5, 0.8], reps=3, seed=seed),
+         aggregate_connectivity_rows, ("c",), "connected", "p_connected"),
+    ],
+    ids=["giant", "connectivity"],
+)
+def test_aggregates_pool_equal_points_across_calls(sweep, aggregate, key, raw, mean):
+    # the benchmark pools the rows of many sweep calls on one grid and reads
+    # one aggregate row per point from them, in sorted point order, each
+    # giving the first pooled row's master seed
+    rows = sweep(10) + sweep(20)
+    agg = aggregate(rows)
+    points = sorted({tuple(r[k] for k in key) for r in rows})
+    assert [tuple(r[k] for k in key) for r in agg] == points
+    for point, row in zip(points, agg):
+        group = [r for r in rows if tuple(r[k] for k in key) == point]
+        assert row["reps"] == len(group) == 6
+        assert row["master_seed"] == group[0]["master_seed"]
+        assert row[mean] == pytest.approx(np.mean([r[raw] for r in group]), rel=1e-15)
+
+
 def test_rows_to_csv_stable_columns():
     rows = [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5, "c": "x"}]
     text = rows_to_csv(rows)
