@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -409,6 +410,16 @@ def test_verify_all_suites_pass(capsys):
     assert len(results) == 4
     assert all(line.startswith("PASS  ") for line in results)
     assert summary == "4/4 checks passed"
+
+
+def test_verify_output_is_pinned(capsys):
+    # the full stdout of verify at the benchmark's scale must not change
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cap", "1e6",
+                           "--samples", "100000", "--seed", "1000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cca60940bdedd16a70badf71aeb55397654d545ad05b4ff77e0f1526a3458d5b"
+    )
 
 
 @pytest.mark.parametrize(

@@ -617,6 +617,20 @@ def test_tp_multiset_counts_are_pinned():
     ]
 
 
+@pytest.mark.parametrize(
+    "m,n,t,seed,expected",
+    [
+        (2, 2, 2, 1000, "d727e33e439c13d268c8365dc05db8fc6d0f8767d441a07a2f15321f4f6a229e"),
+        (2, 2, 3, 1001, "7f7e1ca1dbfb6005f7ab4a34b485cd1e861f8c9d21d10fea839f2380f6a12220"),
+    ],
+)
+def test_verify_equivalence_tallies_are_pinned(m, n, t, seed, expected):
+    # the two tallies that verify --seed 1000 makes, 100,000 samples each:
+    # the sha256 of the counts must not change when the bulk path does
+    counts = tp_multiset_counts(m, n, t, 100_000, make_stream(seed))
+    assert hashlib.sha256(repr(list(counts.items())).encode()).hexdigest() == expected
+
+
 # ----------------------------------------------------------------------
 # independent-edge model
 # ----------------------------------------------------------------------
