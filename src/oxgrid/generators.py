@@ -115,8 +115,20 @@ def _covering_codes(
     isolated, shape (rows, t), in draw order: gr rows are drawn ``batch``
     at a time, and a row is kept when it sets all of its row of a coverage
     table, left vertices then right ones. Raises AttemptsExhausted when
-    ``max_batches`` batches do not hold ``rows`` of them."""
+    ``max_batches`` batches do not hold ``rows`` of them, and before any
+    draw when ``rows`` at the estimated acceptance (1 - e^(-t/m))^m
+    (1 - e^(-t/n))^n need more than 1000 times that many attempts: for
+    m <= n <= 7 and t <= 40 the exact acceptance is at most 2.5 times the
+    estimate, so such a budget all but surely fails."""
     _check_min_degree(m, n, t)
+    attempts = max_batches * batch
+    accept = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
+    if rows > 1000 * attempts * accept:
+        raise AttemptsExhausted(
+            f"no min-degree-1 sample drawn at (m={m}, n={n}, t={t}): {rows} would need "
+            f"about {rows / accept if accept else math.inf:.3e} attempts, over 1000 times "
+            f"the budget of {attempts}; estimated acceptance probability {accept:.3e}"
+        )
     base = np.arange(0, batch * (m + n), m + n)[:, None]  # each row's first entry
     kept: list[np.ndarray] = []
     have = 0
@@ -132,9 +144,8 @@ def _covering_codes(
             have += codes.shape[0]
             if have >= rows:
                 return np.concatenate(kept)[:rows]
-    accept = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
     raise AttemptsExhausted(
-        f"no min-degree-1 sample in {max_batches * batch} attempts at (m={m}, n={n}, t={t}); "
+        f"no min-degree-1 sample in {attempts} attempts at (m={m}, n={n}, t={t}); "
         f"estimated acceptance probability {accept:.3e}"
     )
 
@@ -309,7 +320,11 @@ def _leaf_vectors(
 
     The streams run in lock-step, but each draws exactly what it would draw
     alone and spends its own budget; the open streams are charged in index
-    order, so the first one to run out raises."""
+    order, so the first one to run out raises.
+
+    The output and each batch of candidates are viewed as one fixed-size
+    item per row, so an accepted row is gathered and scattered as a single
+    copy rather than ``count`` element copies."""
     # local CLT at the mean: P(sum hits target) ~ 1/sqrt(2 pi var count)
     p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
     if vectors == 1:
@@ -321,7 +336,8 @@ def _leaf_vectors(
         batch = max(64, min(int(1.2 * vectors / p_hit) + 1, 4_000_000 // count))
     expected = batch * min(1.0, p_hit)
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    rows = out.reshape(-1, count)  # stream s fills rows s * vectors onwards
+    row = np.dtype((np.void, out.itemsize * count))
+    rows = out.reshape(-1).view(row)  # stream s fills rows s * vectors onwards
     streams = list(range(len(rngs)))  # the streams still short of vectors
     open_rngs = list(rngs)
     fill = np.arange(0, len(rngs) * vectors, vectors)  # each open stream's next row
@@ -342,7 +358,7 @@ def _leaf_vectors(
             budgets[s].accepted += accepted
         slot += (fill - 1)[:, None]
         take = np.flatnonzero(hits & (slot < end[:, None]))
-        rows[slot.ravel()[take]] = draws.reshape(-1, count)[take]
+        rows[slot.ravel()[take]] = draws.reshape(-1).view(row)[take]
         fill = slot[:, -1] + 1
         short = fill < end
         lacks = short.tolist()
@@ -478,10 +494,13 @@ def _condition(
 
 def _stubs(degrees: np.ndarray) -> np.ndarray:
     """Stub owners of each row of a (..., count) degree array whose rows
-    share one sum t: vertex v repeated degree-of-v times, shape (..., t)."""
+    share one sum t: vertex v repeated degree-of-v times, shape (..., t),
+    int64. The owners are repeated in the narrowest dtype that holds
+    ``count`` and widened once."""
     count = degrees.shape[-1]
-    owners = np.arange(degrees.size, dtype=np.int64) % count
-    return np.repeat(owners, degrees.ravel()).reshape(*degrees.shape[:-1], -1)
+    owners = np.tile(np.arange(count, dtype=np.min_scalar_type(count)), degrees.size // count)
+    stubs = np.repeat(owners, degrees.ravel()).astype(np.int64)
+    return stubs.reshape(*degrees.shape[:-1], -1)
 
 
 def _paired_stubs(
@@ -635,9 +654,11 @@ def _multiset_counts_from_codes(code_rows: np.ndarray) -> dict[tuple[int, ...], 
     Each sorted row is packed into the fewest int64 words, floor(63 / bits)
     codes of ``bits`` bits to a word with the first code highest, so the
     words order as the rows do; one word is a single sort."""
-    ordered = np.sort(code_rows, axis=1).astype(np.int64, copy=False)
+    top = int(code_rows.max())
+    # rows sort fastest in the narrowest dtype that holds every code
+    ordered = np.sort(code_rows.astype(np.min_scalar_type(top)), axis=1).astype(np.int64)
     t = ordered.shape[1]
-    bits = max(int(ordered[:, -1].max()).bit_length(), 1)
+    bits = max(top.bit_length(), 1)
     per_word = 63 // bits
     shifts = bits * (per_word - 1 - np.arange(t) % per_word)
     words = np.zeros((ordered.shape[0], -(-t // per_word)), dtype=np.int64)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from oxgrid.generators import (
 from oxgrid.graph import degrees, min_degree
 from oxgrid.oracle import exhaustive_census, tv_distance
 from oxgrid.rng import make_stream, split_stream
+from oxgrid.theory import count_exact
 
 
 # ----------------------------------------------------------------------
@@ -91,6 +93,31 @@ def test_gr1_attempts_exhausted_reports_acceptance():
     with pytest.raises(AttemptsExhausted) as err:
         sample_gr1(6, 6, 6, make_stream(3), max_attempts=2)
     assert "acceptance" in str(err.value)
+
+
+def test_gr1_fails_fast_on_a_hopeless_triple():
+    # the acceptance estimate at (30, 30, 30) is 1.1e-12, so a million
+    # attempts would all but surely fail; the sampler raises before drawing
+    rng = make_stream(0)
+    state = rng.bit_generator.state
+    start = time.perf_counter()
+    with pytest.raises(AttemptsExhausted) as err:
+        sample_gr1(30, 30, 30, rng)
+    assert time.perf_counter() - start < 1.0
+    assert rng.bit_generator.state == state
+    message = str(err.value)
+    for field in ("(m=30, n=30, t=30)", "budget of 1000000", "acceptance probability 1.117e-12"):
+        assert field in message
+
+
+def test_gr1_acceptance_estimate_is_not_far_below_exact():
+    # the cut-off trusts the estimate to within its factor of 1000: the
+    # exact acceptance must be at most 10 times the estimate
+    for m in range(1, 8):
+        for n in range(m, 8):
+            for t in range(max(m, n), 41):
+                estimate = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
+                assert count_exact(m, n, t) / (m * n) ** t <= 10 * estimate, (m, n, t)
 
 
 def test_gr1_uniform_over_valid_sequences():
@@ -478,6 +505,39 @@ def test_lock_step_rows_match_one_stream_calls(vectors, count, total):
             rows = generators.sample_truncated(params, split_stream(91, i), 4000 * count)
             rows = rows.reshape(-1, count)
             assert np.array_equal(block[i], rows[rows.sum(axis=1) == total][:vectors])
+
+
+def test_leaf_block_matches_each_stream_alone():
+    # 3 streams of 4 vectors at (30, 60) draw batches of 72 candidates, and
+    # at this seed stream 1 needs a second batch that the others do not, so
+    # the block's last round writes one stream's rows and leaves gaps
+    params, count, target, vectors = solve_rate(2.0), 30, 60, 4
+    rngs = [split_stream(91, i) for i in range(3)]
+    budgets = [generators._Budget(count, target, 10**6) for _ in rngs]
+    block = generators._leaf_vectors(params, count, target, vectors, rngs, budgets)
+    assert block.shape == (3, vectors, count) and block.dtype == np.int64
+    assert [b.drawn for b in budgets] == [72, 144, 72]
+    for i in range(3):
+        budget = generators._Budget(count, target, 10**6)
+        alone = generators._leaf_vectors(
+            params, count, target, vectors, [split_stream(91, i)], [budget]
+        )
+        assert np.array_equal(block[i], alone[0])
+        assert vars(budgets[i]) == vars(budget)
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 300])
+def test_stubs_match_plain_repeat(count):
+    # the owners are repeated in a narrow dtype, which widens at count 256;
+    # every row of degrees is a shuffle of one row, so they share one sum
+    rng = np.random.default_rng(count)
+    degrees = np.tile(rng.integers(0, 4, size=count), (3, 5, 1))
+    rng.permuted(degrees, axis=-1, out=degrees)
+    stubs = generators._stubs(degrees)
+    expected = np.repeat(np.arange(degrees.size) % count, degrees.ravel()).astype(np.int64)
+    assert stubs.dtype == np.int64
+    assert stubs.shape[:-1] == (3, 5)
+    assert np.array_equal(stubs.ravel(), expected)
 
 
 @pytest.mark.parametrize("vectors", [1, 3])
