@@ -21,7 +21,7 @@ from pathlib import Path
 from . import harness, oracle, theory
 from .errors import OxgridError, InputError
 from .generators import ModelSpec
-from .graph import components, degrees, tree_census
+from .graph import components, degrees, is_connected, max_degree, min_degree, tree_census
 from .ingest import (
     Dataset,
     emit_edge_list,
@@ -149,16 +149,14 @@ def _census_payload(dataset: Dataset, max_tree: int) -> dict:
         "m": g.m,
         "n": g.n,
         "t": g.t,
-        # is_connected's definition, read from the summary
-        "connected": summary.n_components <= 1
-        and summary.isolated_left + summary.isolated_right == 0,
+        "connected": is_connected(g),
         "n_components": summary.n_components,
         "largest_size": summary.largest_size,
         "second_largest_size": summary.second_largest_size,
         "isolated_left": summary.isolated_left,
         "isolated_right": summary.isolated_right,
-        "min_degree": [int(d.min()) if d.size else 0 for d in (left_deg, right_deg)],
-        "max_degree": int(max(left_deg.max(initial=0), right_deg.max(initial=0))),
+        "min_degree": list(min_degree(g)),
+        "max_degree": max_degree(g),
         "left_degrees": left_deg.tolist(),
         "right_degrees": right_deg.tolist(),
         "tree_census": {
@@ -179,7 +177,7 @@ def _census_payload(dataset: Dataset, max_tree: int) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    text = args.infile.read_text()
+    text = args.infile.read_text(encoding="utf-8-sig")
     parser = {"auto": parse_auto, "edges": parse_edge_list, "matrix": parse_matrix}[args.format]
     dataset = parser(text, name=args.infile.stem)
     print(json.dumps(_census_payload(dataset, args.max_tree), indent=2))
@@ -222,7 +220,8 @@ _SWEEPS = {
 
 
 def _cmd_sweep(args) -> int:
-    config = harness.ExperimentConfig.from_dict(json.loads(args.config.read_text()))
+    text = args.config.read_text(encoding="utf-8-sig")
+    config = harness.ExperimentConfig.from_dict(json.loads(text))
     if config.kind != args.kind:
         raise InputError(f"config kind {config.kind!r} does not match subcommand {args.kind!r}")
     run, aggregate = _SWEEPS[args.kind]

@@ -66,11 +66,17 @@ def _check_gr(m: int, n: int, t: int | None) -> None:
         raise InputError(f"t must be an edge count >= 0, got {t}")
 
 
-def _check_min_degree(m: int, n: int, t: int | None) -> None:
-    """The precondition of ``gr1`` and ``tp``: t >= max(m, n), so every
-    vertex can reach degree 1."""
+def _coverable(m: int, n: int, t: int | None) -> bool:
+    """Whether t edges can cover every vertex of (m, n); InputError for a
+    triple that breaks the ``gr`` precondition."""
     _check_gr(m, n, t)
-    if t < max(m, n):
+    return t >= max(m, n)
+
+
+def _check_min_degree(m: int, n: int, t: int | None) -> None:
+    """The precondition of ``gr1`` and ``tp``: t edges can cover every
+    vertex (:func:`_coverable`), so every vertex can reach degree 1."""
+    if not _coverable(m, n, t):
         raise InputError(
             f"minimum degree 1 requires t >= max(m, n): t={t} < max(m, n)={max(m, n)}, "
             "so some vertex must stay isolated"
@@ -117,9 +123,11 @@ def _covering_codes(
     table, left vertices then right ones. Raises AttemptsExhausted when
     ``max_batches`` batches do not hold ``rows`` of them, and before any
     draw when ``rows`` at the estimated acceptance (1 - e^(-t/m))^m
-    (1 - e^(-t/n))^n need more than 1000 times that many attempts: for
-    m <= n <= 7 and t <= 40 the exact acceptance is at most 2.5 times the
-    estimate, so such a budget all but surely fails."""
+    (1 - e^(-t/n))^n need more than 1000 times that many attempts. Hit
+    vertices are negatively associated (Dubhashi & Ranjan, RSA 13(2), 1998),
+    so the exact acceptance is at most the product over sides of
+    (1 - (1 - 1/k)^t)^k, which on sides up to 10^5 is at most (1 - 1/e)^-2
+    ~ 2.503 times the estimate: such a budget all but surely fails."""
     _check_min_degree(m, n, t)
     attempts = max_batches * batch
     accept = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
@@ -384,6 +392,7 @@ def _split(
     Every row of every stream shares the split point and the rate of each
     level; rows that start afresh do so through :func:`_restart`."""
     vectors = out.shape[1]
+    assert vectors == 1 or len(rngs) == 1, "a block is one vector per stream or one stream"
     flat = out.reshape(-1, count)  # a view: out is C-contiguous
     rows = np.arange(flat.shape[0])  # the rows still conditioned at this rate
     owner = rows // vectors  # the stream each row draws from
@@ -422,18 +431,14 @@ def _restart(
 ) -> None:
     """Condition the last ``rest`` coordinates of each row of ``flat`` in
     ``rows``, owned by the streams ``owner`` (ascending), afresh on its
-    ``targets`` entry. Rows go by target, in ascending order, and within a
-    target by how many rows each stream brings, so each stream restarts its
-    rows in the order it would alone."""
+    ``targets`` entry, one call per target in ascending order. A block is
+    one vector per stream or one stream, so every stream at a target brings
+    as many rows, and restarts them in the order it would alone."""
     for target in sorted(set(targets.tolist())):
         at = targets == target
-        group, group_owner = rows[at], owner[at]
-        streams, sizes = _runs(group_owner, len(rngs))
-        for k in sorted(set(sizes)):
-            same = [s for s, size in zip(streams, sizes) if size == k]
-            vecs = _condition(k, rest, target, [rngs[s] for s in same], [budgets[s] for s in same])
-            members = group if len(same) == len(streams) else group[np.isin(group_owner, same)]
-            flat[members, done:] = vecs.reshape(-1, rest)
+        streams, sizes = _runs(owner[at], len(rngs))
+        block = [rngs[s] for s in streams], [budgets[s] for s in streams]
+        flat[rows[at], done:] = _condition(sizes[0], rest, target, *block).reshape(-1, rest)
 
 
 def _condition(
@@ -462,6 +467,7 @@ def _condition(
     total, rows with equal totals together. Every step is exact, so the
     vectors follow the conditional law up to float rounding in the tables.
 
+    A block is one vector per stream or one stream (a leaf takes any block).
     The streams run in lock-step at every length, each drawing exactly what
     it would draw alone. A block fails as its first stream that fails
     alone: lock-step can reach a later stream's limit before an earlier
@@ -513,18 +519,21 @@ def _paired_stubs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``vectors`` tp graphs per stream as stub owners ``(left, right)``,
     each of shape (len(rngs), vectors, t): edge k of a graph joins
-    ``left[..., k]`` and ``right[..., k]``.
+    ``left[..., k]`` and ``right[..., k]``. A block is either one graph per
+    stream (``vectors == 1``) or one stream.
 
     Each stream conditions its left degree vectors, then its right ones
     (:func:`_condition`, a budget of ``max_attempts`` candidate vectors per
-    side), then shuffles each of its graphs' right stubs in turn, which
-    draws what ``permutation(t)`` draws for each.
+    graph and side), then shuffles each of its graphs' right stubs in turn,
+    which draws what ``permutation(t)`` draws for each.
     """
     _check_min_degree(m, n, t)
     # every stream draws its left side before its right, and both sides are
     # conditioned before any stubs are laid out, which keeps the peak small
     left, right = [
-        _condition(vectors, count, t, rngs, [_Budget(count, t, max_attempts) for _ in rngs])
+        _condition(
+            vectors, count, t, rngs, [_Budget(count, t, max_attempts * vectors) for _ in rngs]
+        )
         for count in (m, n)
     ]
     left, right = _stubs(left), _stubs(right)
@@ -683,21 +692,18 @@ def tp_multiset_counts(
     t: int,
     samples: int,
     rng: np.random.Generator,
-    max_attempts: int | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Empirical distribution of the tp model over canonical edge multisets.
 
     The one-stream, ``samples``-graph case of the construction behind
     :func:`sample_tp` (:func:`_paired_stubs`; the conditioning is described
     at :func:`_condition`). Keys are sorted tuples of edge codes
-    left*n + right. ``max_attempts`` bounds the candidate vectors per side;
-    by default it is DEFAULT_MAX_ATTEMPTS per sample.
+    left*n + right. Each side may draw DEFAULT_MAX_ATTEMPTS candidate
+    vectors per sample.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    if max_attempts is None:
-        max_attempts = DEFAULT_MAX_ATTEMPTS * samples
-    left, right = _paired_stubs(m, n, t, samples, [rng], max_attempts)
+    left, right = _paired_stubs(m, n, t, samples, [rng], DEFAULT_MAX_ATTEMPTS)
     codes = left[0]
     codes *= n
     codes += right[0]

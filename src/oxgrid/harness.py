@@ -11,13 +11,15 @@ one master seed, as one point ``(job, t)`` per grid point or dataset: a job
 that maps a block of streams to one plain value per replicate, and the edge
 count t of each replicate. Point k runs on master seed ``seed + k``; that
 function alone applies this rule and returns each point's seed with its
-values, and alone checks reps >= 0, threads >= 1 and seed >= 0. Every sweep
-checks the ``tp`` precondition of the points it samples and computes their
-theory before anything is sampled. The giant and connectivity sweeps are
-one per-point column builder each; :func:`_sweep` checks reps >= 1, runs
-their points and builds their raw rows. Their aggregates reduce the rows of
-each point, grouped in one pass by :func:`_aggregate`: rows of equal point
-pool into one row, whichever call made them.
+values, and it checks reps >= 0, threads >= 1 and seed >= 0 on every call
+(``ExperimentConfig`` also rejects a negative reps or seed as it loads).
+Every sweep checks the ``tp`` precondition of the points it samples and
+computes their theory before anything is sampled. The giant and
+connectivity sweeps are one per-point column builder each; :func:`_sweep`
+checks reps >= 1, runs their points and builds their raw rows. Their
+aggregates reduce the rows of each point, grouped in one pass by
+:func:`_aggregate`: rows of equal point pool into one row, whichever call
+made them.
 
 Replicates run in lock-step blocks of consecutive indices, one rule for
 every experiment: each point's replicates are cut into the fewest blocks of
@@ -275,7 +277,7 @@ def _run_replicates(
     and each point's cap is also at most its even share of the replicates
     over the workers, so that the pool gets a block for each worker. Raises
     InputError for reps < 0, threads < 1 or seed < 0 before any replicate
-    runs: these run rules live here alone."""
+    runs; ``ExperimentConfig`` also checks a loaded config's reps and seed."""
     if reps < 0:
         raise InputError(f"reps must be >= 0, got {reps}")
     if threads < 1:

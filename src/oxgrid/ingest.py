@@ -270,14 +270,14 @@ def load_fixture(name: str, datasets_dir: str | Path | None = None) -> Dataset:
     csv_path = base / f"{name}.csv"
     txt_path = base / f"{name}.txt"
     if csv_path.exists():
-        dataset = parse_edge_list(csv_path.read_text(), name=name)
+        dataset = parse_edge_list(csv_path.read_text(encoding="utf-8-sig"), name=name)
     elif txt_path.exists():
-        dataset = parse_matrix(txt_path.read_text(), name=name)
+        dataset = parse_matrix(txt_path.read_text(encoding="utf-8-sig"), name=name)
     else:
         raise InputError(f"no fixture file for {name!r} under {base}")
     meta_path = base / f"{name}.json"
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(encoding="utf-8-sig"))
         dataset.published = meta.get("published")
         dataset.notes = list(meta.get("notes", []))
     problems = dataset.validate_published()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError
-from .generators import _check_gr, _multiset_counts_from_codes, tp_multiset_counts
+from .generators import _coverable, _multiset_counts_from_codes, tp_multiset_counts
 from .rng import make_stream
 
 __all__ = [
@@ -93,13 +93,13 @@ def exhaustive_census(
     InputError for a bad triple, SizeError when (m*n)^t exceeds ``cap``.
     When t < max(m, n) no sequence can be valid, so nothing is iterated.
     """
-    _check_gr(m, n, t)
+    coverable = _coverable(m, n, t)
     total = (m * n) ** t
     if total > cap:
         raise SizeError(f"(m*n)^t = {total} exceeds the cap {cap}")
-    if t < max(m, n):
+    if not coverable:
         return ExhaustiveCensus(m, n, t, total, 0, {})
-    # t >= max(m, n) and (m*n)^t <= cap force m, n to be small, so m + n
+    # a coverable triple with (m*n)^t <= cap has small m and n, so m + n
     # coverage bits fit a machine integer
     full = (1 << (m + n)) - 1
     dtype = np.min_scalar_type(full)
@@ -228,7 +228,6 @@ def tp_equivalence_test(
     t: int,
     samples: int,
     rng: np.random.Generator | None = None,
-    cap: int = SEQUENCE_CAP,
 ) -> EquivalenceReport:
     """Check that configuration-model samples match the exact uniform law.
 
@@ -240,7 +239,7 @@ def tp_equivalence_test(
     fixed constant.
     """
     rng = make_stream(0) if rng is None else rng
-    census = exhaustive_census(m, n, t, cap=cap)
+    census = exhaustive_census(m, n, t)
     if census.valid_count == 0:
         raise SizeError(f"no valid outcomes at (m={m}, n={n}, t={t})")
     exact = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import TruncatedPoissonParams, _lgamma, _poisson_log_pmf, solve_rate
 from .errors import DomainError, InputError
-from .generators import _check_gr, _check_sides
+from .generators import _check_gr, _check_sides, _coverable
 
 __all__ = [
     "surjection_count",
@@ -70,13 +70,6 @@ def count_exact(m: int, n: int, t: int) -> int:
     if not _coverable(m, n, t):
         return 0
     return surjection_count(t, m) * surjection_count(t, n)
-
-
-def _coverable(m: int, n: int, t: int) -> bool:
-    """Whether t edges can cover every vertex of (m, n); InputError for a
-    triple that breaks the ``gr`` precondition."""
-    _check_gr(m, n, t)
-    return t >= max(m, n)
 
 
 def _side_rates(m: int, n: int, t: int) -> tuple[TruncatedPoissonParams, TruncatedPoissonParams]:

@@ -344,13 +344,46 @@ def test_sweep_config_that_is_not_an_object_with_a_kind_exits_1(capsys, tmp_path
     "argv", [("analyze", "--in"), ("sweep", "giant", "--config")], ids=["analyze", "sweep"]
 )
 def test_undecodable_input_bytes_are_an_io_error(capsys, tmp_path, argv):
-    # undecodable bytes exited 3 with an internal UnicodeDecodeError
+    # undecodable bytes exited 3 with an internal UnicodeDecodeError; a
+    # leading UTF-8 byte-order mark is dropped, and what follows must decode
     path = tmp_path / "input.txt"
-    path.write_bytes(b"\xff\xfe\x00")
-    code, out, err = run_cli(capsys, *argv, str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("i/o error:")
+    for data in (b"\xff\xfe\x00", b"\xef\xbb\xbf\xff\xfe\x00"):
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error:")
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_bom_prefixed_edge_list_reads_as_plain(capsys, tmp_path):
+    # the byte-order mark glued itself to the header, which then read as an
+    # edge: m, n and t came out as 3, 3, 3, without a warning
+    payloads = []
+    for prefix in (b"", BOM):
+        path = tmp_path / f"bom-{len(prefix)}" / "grid.csv"
+        path.parent.mkdir()
+        path.write_bytes(prefix + b"left,right\nA,X\nB,Y\n")
+        code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+        assert code == 0, err
+        payloads.append(out)
+    assert payloads[0] == payloads[1]
+    assert [json.loads(payloads[1])[key] for key in "mnt"] == [2, 2, 2]
+
+
+def test_bom_prefixed_sweep_config_runs_as_plain(capsys, tmp_path):
+    # json.loads refused the byte-order mark, and the sweep exited 2
+    config = json.dumps({"kind": "giant", "grid": [[300, 300, 580]], "reps": 2, "seed": 3})
+    outputs = []
+    for prefix in (b"", BOM):
+        path = tmp_path / f"cfg-{len(prefix)}.json"
+        path.write_bytes(prefix + config.encode())
+        code, out, err = run_cli(capsys, "sweep", "giant", "--config", str(path))
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def _aggregate_csv(capsys, tmp_path, config):

@@ -24,7 +24,7 @@ from oxgrid.generators import (
 from oxgrid.graph import degrees, min_degree
 from oxgrid.oracle import exhaustive_census, tv_distance
 from oxgrid.rng import make_stream, split_stream
-from oxgrid.theory import count_exact
+from oxgrid.theory import count_exact, surjection_count
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +118,37 @@ def test_gr1_acceptance_estimate_is_not_far_below_exact():
             for t in range(max(m, n), 41):
                 estimate = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
                 assert count_exact(m, n, t) / (m * n) ** t <= 10 * estimate, (m, n, t)
+
+
+# The gr1 acceptance is a product over the two sides of the chance that t
+# uniform draws hit all k vertices of a side, and so are the bound U and the
+# estimate below, so each is checked one side at a time.
+
+
+def test_gr1_acceptance_is_at_most_the_product_bound():
+    # the events "vertex v is hit" are negatively associated (Dubhashi &
+    # Ranjan, Random Struct. Algorithms 13(2), 1998), so a side's exact
+    # acceptance is at most (1 - (1 - 1/k)^t)^k
+    for k in range(1, 26):
+        for t in range(k, 201):
+            exact = math.log(surjection_count(t, k)) - t * math.log(k)
+            bound = k * math.log1p(-math.exp(t * math.log1p(-1 / k))) if k > 1 else 0.0
+            assert exact <= bound + 1e-12, (k, t)
+
+
+def test_gr1_product_bound_is_near_the_estimate():
+    # a side's bound over its estimate (1 - e^(-t/k))^k is at most
+    # 1 / (1 - 1/e), reached at k = t = 1, so U is at most 2.503 times the
+    # estimate and the cut-off's factor of 1000 leaves room to spare
+    worst = []
+    for k in np.unique(np.round(np.geomspace(1, 10**5, 400))).astype(np.int64):
+        t = np.unique(np.concatenate([k + np.arange(60), np.ceil(k * np.geomspace(1, 100, 200))]))
+        hit = -np.expm1(t * np.log1p(-1.0 / k)) if k > 1 else np.ones(t.size)
+        worst.append(np.max(k * (np.log(hit) - np.log(-np.expm1(-t / k)))))
+    limit = -math.log(-math.expm1(-1.0))
+    assert max(worst) <= limit + 1e-12
+    assert worst[0] == pytest.approx(limit, abs=1e-12)
+    assert math.exp(2 * limit) == pytest.approx(2.503, abs=5e-4)
 
 
 def test_gr1_uniform_over_valid_sequences():
@@ -486,25 +517,34 @@ def _condition_alone(vectors, count, total, seed, i, max_attempts):
     return generators._condition(vectors, count, total, [split_stream(seed, i)], [budget])[0]
 
 
+def _block_shapes(streams, vectors, count):
+    """The (streams, vectors) blocks a case runs as. Above _LEAF a block is
+    many streams of one vector (sample_tp_edges) or one stream of many
+    (tp_multiset_counts); a leaf takes many of both."""
+    if vectors == 1 or count <= generators._LEAF:
+        return [(streams, vectors)]
+    return [(streams, 1), (1, vectors)]
+
+
 @pytest.mark.parametrize("vectors,count,total", CONDITION_SIZES)
 def test_lock_step_rows_match_one_stream_calls(vectors, count, total):
     # several vectors per stream: each stream keeps its first hits in draw
     # order, exactly as when it runs alone
-    streams = 12
-    rngs = [split_stream(91, i) for i in range(streams)]
-    budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
-    block = generators._condition(vectors, count, total, rngs, budgets)
-    assert block.shape == (streams, vectors, count)
-    assert (block.sum(axis=2) == total).all() and block.min() >= 1
-    for i in range(streams):
-        assert np.array_equal(block[i], _condition_alone(vectors, count, total, 91, i, 10**6))
-        if count <= generators._LEAF:
-            # below rate 30 a stream's candidates are consecutive rows of one
-            # run of its draws, and it keeps the first rows that hit
-            params = solve_rate(total / count)
-            rows = generators.sample_truncated(params, split_stream(91, i), 4000 * count)
-            rows = rows.reshape(-1, count)
-            assert np.array_equal(block[i], rows[rows.sum(axis=1) == total][:vectors])
+    for streams, k in _block_shapes(12, vectors, count):
+        rngs = [split_stream(91, i) for i in range(streams)]
+        budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
+        block = generators._condition(k, count, total, rngs, budgets)
+        assert block.shape == (streams, k, count)
+        assert (block.sum(axis=2) == total).all() and block.min() >= 1
+        for i in range(streams):
+            assert np.array_equal(block[i], _condition_alone(k, count, total, 91, i, 10**6))
+            if count <= generators._LEAF:
+                # below rate 30 a stream's candidates are consecutive rows of
+                # one run of its draws, and it keeps the first rows that hit
+                params = solve_rate(total / count)
+                rows = generators.sample_truncated(params, split_stream(91, i), 4000 * count)
+                rows = rows.reshape(-1, count)
+                assert np.array_equal(block[i], rows[rows.sum(axis=1) == total][:k])
 
 
 def test_leaf_block_matches_each_stream_alone():
@@ -548,29 +588,29 @@ def test_lock_step_split_matches_one_stream_calls(monkeypatch, stray, vectors):
     # must draw and spend exactly what it does alone
     monkeypatch.setattr(generators, "_LEAF", 2)
     monkeypatch.setattr(generators, "_STRAY", stray)
-    count, total, streams = 12, 30, 16
-    alone, alone_budgets = [], []
-    for i in range(streams):
-        budget = generators._Budget(count, total, 10**6)
-        alone.append(
-            generators._condition(vectors, count, total, [split_stream(93, i)], [budget])[0]
-        )
-        alone_budgets.append(vars(budget))
-    restarts = []
+    count, total = 12, 30
     condition = generators._condition
+    restarts = []
 
     def watch(vectors, count, total, rngs, budgets):
-        restarts.append(len(rngs))
+        restarts.append(vectors * len(rngs))
         return condition(vectors, count, total, rngs, budgets)
 
-    monkeypatch.setattr(generators, "_condition", watch)
-    rngs = [split_stream(93, i) for i in range(streams)]
-    budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
-    block = condition(vectors, count, total, rngs, budgets)
-    for i in range(streams):
-        assert np.array_equal(block[i], alone[i])
-        assert vars(budgets[i]) == alone_budgets[i]
-    # every nested call is a restart on one target: some hold several streams
+    for streams, k in _block_shapes(16, vectors, count):
+        alone, alone_budgets = [], []
+        for i in range(streams):
+            budget = generators._Budget(count, total, 10**6)
+            alone.append(condition(k, count, total, [split_stream(93, i)], [budget])[0])
+            alone_budgets.append(vars(budget))
+        monkeypatch.setattr(generators, "_condition", watch)
+        rngs = [split_stream(93, i) for i in range(streams)]
+        budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
+        block = condition(k, count, total, rngs, budgets)
+        monkeypatch.setattr(generators, "_condition", condition)
+        for i in range(streams):
+            assert np.array_equal(block[i], alone[i])
+            assert vars(budgets[i]) == alone_budgets[i]
+    # every nested call is a restart on one target: some hold several rows
     assert max(restarts) >= 2
 
 
@@ -582,26 +622,26 @@ def test_lock_step_split_matches_one_stream_calls(monkeypatch, stray, vectors):
 def test_lock_step_budgets_are_per_stream(vectors, count, total):
     # a block succeeds with budget B exactly when every stream succeeds alone
     # with B, and otherwise fails as the first stream that fails alone does
-    streams = 16
     outcomes = set()
-    for limit in (1, 8, 64, 128, 192, 256, 512, 10**6):
-        alone = []
-        for i in range(streams):
+    for streams, k in _block_shapes(16, vectors, count):
+        for limit in (1, 8, 64, 128, 192, 256, 512, 10**6):
+            alone = []
+            for i in range(streams):
+                try:
+                    _condition_alone(k, count, total, 92, i, limit)
+                    alone.append(None)
+                except AttemptsExhausted as err:
+                    alone.append(str(err))
+            failed = [message for message in alone if message is not None]
+            rngs = [split_stream(92, i) for i in range(streams)]
+            budgets = [generators._Budget(count, total, limit) for _ in rngs]
             try:
-                _condition_alone(vectors, count, total, 92, i, limit)
-                alone.append(None)
+                generators._condition(k, count, total, rngs, budgets)
+                block = None
             except AttemptsExhausted as err:
-                alone.append(str(err))
-        failed = [message for message in alone if message is not None]
-        rngs = [split_stream(92, i) for i in range(streams)]
-        budgets = [generators._Budget(count, total, limit) for _ in rngs]
-        try:
-            generators._condition(vectors, count, total, rngs, budgets)
-            block = None
-        except AttemptsExhausted as err:
-            block = str(err)
-        assert block == (failed[0] if failed else None)
-        outcomes.add("all" if len(failed) == streams else "some" if failed else "none")
+                block = str(err)
+            assert block == (failed[0] if failed else None)
+            outcomes.add("all" if len(failed) == streams else "some" if failed else "none")
     assert {"none", "some"} <= outcomes
 
 
@@ -658,6 +698,13 @@ def test_tp_multiset_counts_of_one_sample_match_sample_tp(m, n, t):
         edges = sample_tp(m, n, t, split_stream(100, i)).edges
         codes = tuple(sorted((edges[:, 0] * n + edges[:, 1]).tolist()))
         assert tp_multiset_counts(m, n, t, 1, split_stream(100, i)) == {codes: 1}
+
+
+def test_tp_multiset_counts_budget_is_per_sample(monkeypatch):
+    # each side may draw DEFAULT_MAX_ATTEMPTS candidate vectors per sample
+    monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", 1)
+    with pytest.raises(AttemptsExhausted, match="budget of 4 candidate vectors"):
+        tp_multiset_counts(70, 30, 150, 4, make_stream(0))
 
 
 def test_tp_multiset_counts_are_pinned():

@@ -7,6 +7,7 @@ from oxgrid.errors import EmptyError, InputError, ParseError
 from oxgrid.graph import components, is_connected, tree_census
 from oxgrid.ingest import (
     Dataset,
+    _fixture_dir,
     emit_edge_list,
     emit_matrix,
     fixture_names,
@@ -176,6 +177,14 @@ def test_cat_fixture_parses_as_before():
     assert digest.hexdigest() == (
         "90b2fafff7b648548cdea280c9ba00ac4c416e70dc6aa3dc1286c491e8126755"
     )
+
+
+def test_bom_prefixed_fixtures_load_as_plain(tmp_path):
+    # every fixture file, data and sidecar, with a UTF-8 byte-order mark
+    for name in fixture_names():
+        for path in _fixture_dir().glob(f"{name}.*"):
+            (tmp_path / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_fixture(name, tmp_path) == load_fixture(name)
 
 
 # ----------------------------------------------------------------------

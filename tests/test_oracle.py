@@ -69,6 +69,10 @@ def test_census_cap():
         exhaustive_census(3, 3, 9)  # 9^9 > 1e7
     with pytest.raises(SizeError):
         exhaustive_census(4, 4, 6, cap=10**6)
+    # the cap is checked before an uncoverable triple returns its empty census
+    with pytest.raises(SizeError):
+        exhaustive_census(9, 9, 8)
+    assert exhaustive_census(9, 9, 3).valid_count == 0
 
 
 def test_census_chunking_is_associative(monkeypatch):
