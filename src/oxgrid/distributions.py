@@ -218,6 +218,47 @@ def _sampler_cdf(rate: float) -> np.ndarray:
     return cdf
 
 
+# Above _INVERSE_CDF_MAX_RATE a ratio table spans this many sd either side of
+# the mode. P(Y = k) / P(Y = mode) is below 1e-19 there at rate 30, and smaller
+# at higher rates, far under the 2^-53 step of a uniform on [0, 1)
+_RATIO_SD = 12
+
+
+@lru_cache(maxsize=128)
+def _pmf_ratios(rate: float) -> tuple[int, np.ndarray, float]:
+    """``(first, ratio, peak)`` for the law :func:`sample_truncated` draws at
+    ``rate``: ``peak`` is its largest probability and ``ratio[i]`` is
+    P(Y = first + i) / peak, exactly 1 at the mode. A zero at each end makes
+    a clipped lookup read 0 for every k < 1 and every k past the table.
+
+    Up to rate 30 the pmf is the differences of :func:`_sampler_cdf`, the
+    table the sampler inverts. Above, the sampler draws Poisson values and
+    no table may grow with the rate: the ratios are built in log space over
+    the mode +- ``_RATIO_SD`` sd, as sums of log(rate / k) outwards from the
+    mode. The table is cached and shared, so it is read-only."""
+    if rate <= _INVERSE_CDF_MAX_RATE:
+        probs = np.diff(_sampler_cdf(rate), prepend=0.0)
+        first, peak = 0, float(probs.max())
+        body = probs / peak
+    else:
+        mode = math.floor(rate)
+        width = math.ceil(_RATIO_SD * math.sqrt(rate))
+        lo = max(1, mode - width)
+        first, peak = lo - 1, float(pmf(TruncatedPoissonParams.from_rate(rate), mode))
+        # log P(k) - log P(k - 1) = log(rate / k), negative past the mode and
+        # at most 0 up to it, so every ratio is at most 1
+        steps = np.log(rate / np.arange(lo, mode + width + 1))
+        at = mode - lo
+        logs = np.zeros(steps.size)
+        logs[at + 1 :] = np.cumsum(steps[at + 1 :])
+        logs[:at] = -np.cumsum(steps[at:0:-1])[::-1]
+        body = np.exp(logs)
+    ratio = np.zeros(body.size + 2)
+    ratio[1:-1] = body
+    ratio.setflags(write=False)
+    return first, ratio, peak
+
+
 # Uniform u lies in bucket floor(u * _GUIDE_BUCKETS) of the guide table; a
 # power of two makes the product exact
 _GUIDE_BUCKETS = 4096

@@ -30,6 +30,7 @@ import numpy as np
 
 from .distributions import (
     TruncatedPoissonParams,
+    _pmf_ratios,
     _support_pmf,
     sample_truncated,
     sample_truncated_streams,
@@ -172,10 +173,10 @@ def sample_gr1(
     return BipartiteMultigraph(m, n, np.column_stack(np.divmod(codes, n)))
 
 
-# Vectors of at most this many coordinates are conditioned by whole-vector
-# rejection, longer ones are split in half first. At 64 the genome fixtures'
-# sides (19 to 38 vertices) stay on the rejection loop, which costs them less
-# than a split and its sum-law table.
+# Vectors of at most this many coordinates are conditioned whole, by
+# rejection with a forced last coordinate; longer ones are split in half
+# first. At 64 the genome fixtures' sides (19 to 38 vertices) stay on the
+# rejection loop, which costs them less than a split and its sum-law table.
 _LEAF = 64
 
 # A row whose remaining target lies more than this many standard deviations
@@ -321,31 +322,42 @@ def _leaf_vectors(
     rngs: Sequence[np.random.Generator],
     budgets: Sequence[_Budget],
 ) -> np.ndarray:
-    """``vectors`` vectors of ``count`` iid draws from each stream, each
-    summing to ``target``, shape (len(rngs), vectors, count), by whole-vector
-    rejection: each stream draws batches of candidates whose hits fill its
-    rows in draw order, until it has ``vectors`` of them.
+    """``vectors`` vectors of ``count`` >= 2 iid draws from each stream,
+    each conditioned on summing to ``target``, shape (len(rngs), vectors,
+    count), by rejection with a deterministic last coordinate (Arratia &
+    DeSalvo 2016). A candidate is ``count - 1`` iid draws; its last
+    coordinate is ``target`` minus their sum, and it is kept with
+    probability P(Y = last) / max_k P(Y = k) (:func:`_pmf_ratios`), which
+    is 0 for a last coordinate below 1. So a candidate is kept with
+    probability proportional to the product of its ``count`` pmfs, which
+    is the conditional law, and 1 / max_k P(Y = k) times as often as
+    ``count`` iid draws hit ``target``.
 
-    The streams run in lock-step, but each draws exactly what it would draw
-    alone and spends its own budget; the open streams are charged in index
-    order, so the first one to run out raises.
-
-    The output and each batch of candidates are viewed as one fixed-size
-    item per row, so an accepted row is gathered and scattered as a single
-    copy rather than ``count`` element copies."""
-    # local CLT at the mean: P(sum hits target) ~ 1/sqrt(2 pi var count)
-    p_hit = 1.0 / math.sqrt(2.0 * math.pi * params.variance * count)
+    Each round, every open stream draws a batch of candidates and then one
+    keep uniform per candidate, and its hits fill its rows in draw order
+    until it has ``vectors`` of them. The streams run in lock-step, but
+    each draws exactly what it would draw alone and spends its own budget;
+    the open streams are charged in index order, so the first one to run
+    out raises."""
+    first, ratio, peak = _pmf_ratios(params.rate)
+    # local CLT at the mean: count iid draws hit target with chance
+    # ~ 1/sqrt(2 pi var count), and a candidate is kept 1/peak times as often
+    p_keep = 1.0 / (math.sqrt(2.0 * math.pi * params.variance * count) * peak)
+    # Both floors are 8 candidates. At the genome fixtures' one-vector
+    # leaves, where the floor binds, 8 took the least time of 4, 6, 8, 12 and
+    # 16. For many vectors, tp_multiset_counts restarts and short leaves ran
+    # as fast with 8 as with 64
     if vectors == 1:
         # the wait is geometric, its sd near its mean: batches of about a
         # fifth of it keep the overshoot small
-        batch = int(min(4096, max(8, round(0.2 / p_hit))))
+        batch = int(min(4096, max(8, round(0.2 / p_keep))))
     else:
         # 1.2 times the expected need mostly finishes in one batch
-        batch = max(64, min(int(1.2 * vectors / p_hit) + 1, 4_000_000 // count))
-    expected = batch * min(1.0, p_hit)
+        batch = max(8, min(int(1.2 * vectors / p_keep) + 1, 4_000_000 // count))
+    expected = batch * min(1.0, p_keep)
+    free = count - 1
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
-    row = np.dtype((np.void, out.itemsize * count))
-    rows = out.reshape(-1).view(row)  # stream s fills rows s * vectors onwards
+    flat = out.reshape(-1, count)  # stream s fills rows s * vectors onwards
     streams = list(range(len(rngs)))  # the streams still short of vectors
     open_rngs = list(rngs)
     fill = np.arange(0, len(rngs) * vectors, vectors)  # each open stream's next row
@@ -353,21 +365,29 @@ def _leaf_vectors(
     while streams:
         for s in streams:
             budgets[s].spend(batch, expected)
-        draws = _draws(params, open_rngs, batch * count)
-        draws = draws.reshape(len(streams), batch, count)
+        draws = _draws(params, open_rngs, batch * free).reshape(-1, free)
+        u = stream_uniforms(open_rngs, batch)
         # einsum sums a short last axis several times faster than sum
-        hits = np.einsum("ijk->ij", draws) == target
-        if not np.count_nonzero(hits):
+        last = target - np.einsum("ij->i", draws)
+        hits = np.flatnonzero(u < ratio.take(last - first, mode="clip"))
+        if not hits.size:
             continue
-        # a stream keeps its first hits in draw order, up to what it lacks:
-        # the hit of rank r among its stream's hits fills row fill + r - 1
-        slot = hits.cumsum(axis=1, dtype=np.int32)  # out has far fewer than 2^31 rows
-        for s, accepted in zip(streams, slot[:, -1].tolist()):
+        # hits ascend, so each stream's hits are one run of them in draw
+        # order: it keeps the first ones, up to what it lacks, as rows fill,
+        # fill + 1, ... Only the hits are ranked, not the whole batch
+        bounds = np.searchsorted(hits, np.arange(len(streams) + 1) * batch)
+        counts = np.diff(bounds)
+        for s, accepted in zip(streams, counts.tolist()):
             budgets[s].accepted += accepted
-        slot += (fill - 1)[:, None]
-        take = np.flatnonzero(hits & (slot < end[:, None]))
-        rows[slot.ravel()[take]] = draws.reshape(-1).view(row)[take]
-        fill = slot[:, -1] + 1
+        taken = np.minimum(counts, end - fill)
+        cut = np.cumsum(taken)
+        base = cut - taken  # each stream's first kept hit among all kept ones
+        rank = np.arange(cut[-1])
+        kept = hits[rank + np.repeat(bounds[:-1] - base, taken)]
+        rows = rank + np.repeat(fill - base, taken)
+        flat[rows, :free] = draws[kept]
+        flat[rows, free] = last[kept]
+        fill = fill + taken
         short = fill < end
         lacks = short.tolist()
         if not any(lacks):
@@ -462,10 +482,13 @@ def _condition(
     way on its own remaining total, which differs between rows. The law of
     the rest given its total does not depend on the rate, so a rest of at
     most ``_LEAF`` coordinates, or one whose total strayed more than
-    ``_STRAY`` sd from its mean, starts afresh at the rate of its own mean;
-    at most ``_LEAF`` coordinates are drawn whole until their sum hits the
-    total, rows with equal totals together. Every step is exact, so the
-    vectors follow the conditional law up to float rounding in the tables.
+    ``_STRAY`` sd from its mean, starts afresh at the rate of its own mean.
+    At most ``_LEAF`` coordinates, rows with equal totals together, are
+    conditioned whole (:func:`_leaf_vectors`): all but the last coordinate
+    are drawn iid, the last is what the total leaves, and the row is kept
+    with probability P(Y = last) / max_k P(Y = k). Every step is exact, so
+    the vectors follow the conditional law up to float rounding in the
+    tables.
 
     A block is one vector per stream or one stream (a leaf takes any block).
     The streams run in lock-step at every length, each drawing exactly what

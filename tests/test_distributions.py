@@ -274,6 +274,28 @@ def test_sampler_cdf_is_pinned():
     )
 
 
+@pytest.mark.parametrize("rate", _fixture_rates() + [0.1, 30.0, 1e6])
+def test_pmf_ratios_read_0_outside_the_support_and_1_at_the_peak(rate):
+    # a clipped lookup reads 0 for every k < 1 and every k past the table,
+    # exactly 1 at the mode, and pmf(k) / peak in between
+    first, ratio, peak = distributions._pmf_ratios(rate)
+    params = TruncatedPoissonParams.from_rate(rate)
+    past = first + ratio.size - 1  # the trailing zero's k
+    ks = np.union1d(np.arange(-3, 3), np.arange(first - 3, past + 3))
+    read = ratio.take(ks - first, mode="clip")
+    assert (read[ks < 1] == 0.0).all() and (read[ks >= past] == 0.0).all()
+    mode = math.floor(rate) if rate > 1 else 1
+    assert ratio.max() == 1.0 and read[ks == mode] == 1.0
+    assert peak == pytest.approx(pmf(params, mode), rel=1e-12)
+    inside = (ks >= 1) & (ks < past)
+    np.testing.assert_allclose(read[inside] * peak, pmf(params, ks[inside]), rtol=1e-7, atol=1e-15)
+    if rate > distributions._INVERSE_CDF_MAX_RATE:
+        # a window of the mode +- 12 sd, not the support from 1, whose ends
+        # a keep uniform, a multiple of 2^-53, almost never falls below
+        assert ratio.size <= 2 * math.ceil(12 * math.sqrt(rate)) + 3 and first > 1
+        assert max(ratio[1], ratio[-2]) < 2.0**-53
+
+
 def _lookup_points(cdf):
     # every bucket edge b/4096, each CDF entry with its neighbouring doubles
     # on both sides, and the extremes of random(): 0 and 1 - 2^-53

@@ -327,12 +327,13 @@ def _chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
 
 
 @pytest.mark.parametrize("stray", [0.0, math.inf])
-@pytest.mark.parametrize("leaf", [1, 2])
+@pytest.mark.parametrize("leaf", [1, 2, generators._LEAF])
 @pytest.mark.parametrize("count,total", [(5, 9), (6, 8), (7, 12)])
 def test_conditioned_degrees_match_enumerated_law(monkeypatch, leaf, stray, count, total):
     # with the leaf at 1 or 2 every split of the recursion, and its per-row
     # targets, runs on a size whose conditional law can be listed in full;
-    # rows restart at their own rate after every split (stray 0) or never
+    # rows restart at their own rate after every split (stray 0) or never.
+    # At the default leaf each vector is one whole leaf
     monkeypatch.setattr(generators, "_LEAF", leaf)
     monkeypatch.setattr(generators, "_STRAY", stray)
     params = solve_rate(total / count)
@@ -405,6 +406,28 @@ def test_conditioning_requests_stay_linear_in_count(monkeypatch):
     assert left.sum() == t and right.sum() == t
 
 
+@pytest.mark.parametrize("m,n,t", [(2, 3, 3_000_000), (5, 5, 10**6)])
+def test_large_means_keep_leaf_tables_near_the_mode(monkeypatch, m, n, t):
+    # above rate 30 the leaf draws Poisson values: its accept table spans a
+    # window of tens of sd around the mode, not the support from 1, whose
+    # table took 0.76 s to build at (2, 3, 3_000_000)
+    tables = []
+    real = generators._pmf_ratios
+
+    def spy(rate):
+        tables.append((rate, real(rate)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(generators, "_pmf_ratios", spy)
+    g = sample_tp(m, n, t, make_stream(5))
+    left, right = degrees(g)
+    assert g.t == t and left.sum() == t and right.sum() == t
+    assert left.min() >= 1 and right.min() >= 1
+    assert {rate for rate, _ in tables} == {solve_rate(t / m).rate, solve_rate(t / n).rate}
+    for rate, (first, ratio, _) in tables:
+        assert rate > 30 and first > 0 and ratio.size < 30 * math.sqrt(rate)
+
+
 def test_strayed_targets_start_afresh(monkeypatch):
     # deep in the recursion a row's remaining total can sit far in the tail
     # of its sum law, where a level kept at the first rate redraws its prefix
@@ -463,23 +486,55 @@ def test_tp_edges_per_stream_match_sample_tp(m, n, t):
         assert np.array_equal(edges[i], sample_tp(m, n, t, split_stream(95, i)).edges)
 
 
+@pytest.fixture
+def leaf_batches(monkeypatch):
+    """The batch of every leaf round, in call order: a leaf asks for one keep
+    uniform per candidate and stream, the split's prefixes for a list."""
+    batches = []
+    real = generators.stream_uniforms
+
+    def spy(rngs, sizes):
+        if isinstance(sizes, int):
+            batches.append(sizes)
+        return real(rngs, sizes)
+
+    monkeypatch.setattr(generators, "stream_uniforms", spy)
+    return batches
+
+
+def _leaf_replay(count, total, vectors, rng, batch):
+    """The first ``vectors`` candidates a leaf keeps on ``rng``, drawn
+    ``batch`` a round: count - 1 draws each, then one keep uniform each. The
+    last coordinate is what is left of ``total``, and a candidate is kept with
+    probability pmf(last) / max pmf, which is 0 for a last coordinate below 1."""
+    params = solve_rate(total / count)
+    peak = pmf(params, np.arange(1, math.ceil(params.rate) + 2)).max()
+    rows = []
+    while len(rows) < vectors:
+        draws = generators.sample_truncated(params, rng, batch * (count - 1))
+        draws = draws.reshape(batch, count - 1)
+        u = rng.random(batch)
+        last = total - draws.sum(axis=1)
+        keep = u < pmf(params, np.maximum(last, 0)) / peak
+        rows += np.column_stack([draws, last])[keep].tolist()
+    return np.array(rows[:vectors])
+
+
 @pytest.mark.parametrize("m,n,t", [(22, 38, 67), (20, 22, 38)])
-def test_tp_edges_keep_each_streams_first_hit(m, n, t):
-    # below rate 30 a stream's candidate left-degree vectors are consecutive
-    # rows of one long run of its draws, so the left degrees must be the
-    # first row of that run whose sum is t
+def test_tp_edges_keep_each_streams_first_hit(leaf_batches, m, n, t):
+    # each stream's left degrees are the first candidate it keeps, drawing
+    # alone in rounds of the left leaf's batch
     streams = 40
     edges = generators.sample_tp_edges(m, n, t, [split_stream(98, i) for i in range(streams)])
-    params = solve_rate(t / m)
+    batch = leaf_batches[0]  # the left side is conditioned first
     for i in range(streams):
-        rows = generators.sample_truncated(params, split_stream(98, i), 20_000 * m).reshape(-1, m)
-        first = rows[rows.sum(axis=1) == t][0]
+        first = _leaf_replay(m, t, 1, split_stream(98, i), batch)[0]
         assert np.array_equal(np.bincount(edges[i, :, 0], minlength=m), first)
 
 
 def test_sample_tp_draws_are_pinned():
     # replicate i of a seed must keep giving the same graph: the sha256 of
-    # these edges has not changed since the conditioning became exact
+    # these edges has not changed since a leaf's last coordinate was forced
     digest = hashlib.sha256()
     for m, n, t in TP_STREAM_SIZES:
         for i in range(8):
@@ -527,37 +582,37 @@ def _block_shapes(streams, vectors, count):
 
 
 @pytest.mark.parametrize("vectors,count,total", CONDITION_SIZES)
-def test_lock_step_rows_match_one_stream_calls(vectors, count, total):
+def test_lock_step_rows_match_one_stream_calls(leaf_batches, vectors, count, total):
     # several vectors per stream: each stream keeps its first hits in draw
     # order, exactly as when it runs alone
     for streams, k in _block_shapes(12, vectors, count):
         rngs = [split_stream(91, i) for i in range(streams)]
         budgets = [generators._Budget(count, total, 10**6) for _ in rngs]
+        leaf_batches.clear()
         block = generators._condition(k, count, total, rngs, budgets)
+        batches = list(leaf_batches)
         assert block.shape == (streams, k, count)
         assert (block.sum(axis=2) == total).all() and block.min() >= 1
         for i in range(streams):
             assert np.array_equal(block[i], _condition_alone(k, count, total, 91, i, 10**6))
             if count <= generators._LEAF:
-                # below rate 30 a stream's candidates are consecutive rows of
-                # one run of its draws, and it keeps the first rows that hit
-                params = solve_rate(total / count)
-                rows = generators.sample_truncated(params, split_stream(91, i), 4000 * count)
-                rows = rows.reshape(-1, count)
-                assert np.array_equal(block[i], rows[rows.sum(axis=1) == total][:k])
+                # a whole leaf: the stream keeps the first candidates it
+                # would keep alone, drawn in rounds of the block's batch
+                replay = _leaf_replay(count, total, k, split_stream(91, i), batches[0])
+                assert np.array_equal(block[i], replay)
 
 
 def test_leaf_block_matches_each_stream_alone():
-    # 3 streams of 4 vectors at (30, 60) draw batches of 72 candidates, and
-    # at this seed stream 1 needs a second batch that the others do not, so
+    # 5 streams of 4 vectors at (30, 60) draw batches of 30 candidates, and
+    # at this seed stream 3 needs a second batch that the others do not, so
     # the block's last round writes one stream's rows and leaves gaps
     params, count, target, vectors = solve_rate(2.0), 30, 60, 4
-    rngs = [split_stream(91, i) for i in range(3)]
+    rngs = [split_stream(91, i) for i in range(5)]
     budgets = [generators._Budget(count, target, 10**6) for _ in rngs]
     block = generators._leaf_vectors(params, count, target, vectors, rngs, budgets)
-    assert block.shape == (3, vectors, count) and block.dtype == np.int64
-    assert [b.drawn for b in budgets] == [72, 144, 72]
-    for i in range(3):
+    assert block.shape == (5, vectors, count) and block.dtype == np.int64
+    assert [b.drawn for b in budgets] == [30, 30, 30, 60, 30]
+    for i in range(5):
         budget = generators._Budget(count, target, 10**6)
         alone = generators._leaf_vectors(
             params, count, target, vectors, [split_stream(91, i)], [budget]
@@ -624,7 +679,7 @@ def test_lock_step_budgets_are_per_stream(vectors, count, total):
     # with B, and otherwise fails as the first stream that fails alone does
     outcomes = set()
     for streams, k in _block_shapes(16, vectors, count):
-        for limit in (1, 8, 64, 128, 192, 256, 512, 10**6):
+        for limit in (1, 2, 4, 8, 16, 32, 64, 128, 192, 256, 512, 10**6):
             alone = []
             for i in range(streams):
                 try:
@@ -709,8 +764,8 @@ def test_tp_multiset_counts_budget_is_per_sample(monkeypatch):
 
 def test_tp_multiset_counts_are_pinned():
     # many samples on one stream, at an enumerable size and with a side
-    # longer than _LEAF: the sha256 of the counts has not changed since the
-    # bulk sampler became the many-vector case of sample_tp_edges
+    # longer than _LEAF: the sha256 of the counts has not changed since a
+    # leaf's last coordinate was forced
     digests = [
         hashlib.sha256(repr(list(counts.items())).encode()).hexdigest()
         for counts in (
