@@ -451,7 +451,7 @@ def test_verify_output_is_pinned(capsys):
                            "--samples", "100000", "--seed", "1000")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cca60940bdedd16a70badf71aeb55397654d545ad05b4ff77e0f1526a3458d5b"
+        "e2b567c1d9496b8b6ce65dd4b192bb4df79623aa58fdeb4b4d3dbe73454bad42"
     )
 
 

@@ -540,7 +540,7 @@ def test_sample_tp_draws_are_pinned():
         for i in range(8):
             digest.update(sample_tp(m, n, t, split_stream(2024, i)).edges.tobytes())
     assert digest.hexdigest() == (
-        "5855ed006c0c6d61ebc525885d847739ca4ab850dd57cc2fd95b2facbd981bf7"
+        "30e4b968b72a8c828b7441c820ab0291c60f7cb31180392fef2d86c6e0a6a7ff"
     )
 
 
@@ -774,8 +774,8 @@ def test_tp_multiset_counts_are_pinned():
         )
     ]
     assert digests == [
-        "fe2e79347a6a26f3d6482033473557d81843ff0fcb73bfb4394da5434c702628",
-        "c5893b9107a4d44dc8c18d3a915076d14eddcce1f5a1fea36d2274a0fff856f8",
+        "ba68911f1714decd3b093c64eeca6c000ae5720d44927872bc9d23619fa387ac",
+        "74eebab55ab11ddf7a5e4e1147c942b95c64741730431aa8e4c42b66f2f24fcf",
     ]
 
 
@@ -783,7 +783,7 @@ def test_tp_multiset_counts_are_pinned():
     "m,n,t,seed,expected",
     [
         (2, 2, 2, 1000, "d727e33e439c13d268c8365dc05db8fc6d0f8767d441a07a2f15321f4f6a229e"),
-        (2, 2, 3, 1001, "7f7e1ca1dbfb6005f7ab4a34b485cd1e861f8c9d21d10fea839f2380f6a12220"),
+        (2, 2, 3, 1001, "3cf3544350285e5321f9e312bfe01dc9c4e4ec62c88c15492accbeae3ff6ef9c"),
     ],
 )
 def test_verify_equivalence_tallies_are_pinned(m, n, t, seed, expected):

@@ -451,12 +451,12 @@ def _count_ratio_digest():
     [
         (lambda: _sweep_digest(sweep_giant([(300, 300, 580), (200, 300, 700)], reps=13, seed=3),
                                GIANT_SAMPLED),
-         "8c6a7b0fbc4ad8924f95a4d4e047119581e6736170b4a713d4e5fa6a800af903"),
+         "4df07d59da33ceff889d8e17b5aa0242b494344405215455633963183d0b8986"),
         (lambda: _sweep_digest(sweep_connectivity(200, 300, [1.0, 1.5], reps=13, seed=3),
                                CONNECTIVITY_SAMPLED),
-         "7d1272145476477f26d0fcc7615a061d4de215e9f2a5c2e36e05adce70628c33"),
-        (_tree_digest, "42b337103d6dd18f7740abb50577dfd09899697026c8650a124d42011fe489e2"),
-        (_count_ratio_digest, "3eb59bd2b73d7dfbb16b5c94f55e8a28f299056de89379dab980995246aa8775"),
+         "d609eebf5f63295c53f599f124acf6ce38a0bc201642f6444b4a8349dc8266c0"),
+        (_tree_digest, "9000d02e1cbb0ca42193a0703c395a9be0aef5b28ae192dd68b9a1289f5e2b0f"),
+        (_count_ratio_digest, "88c9dd1b90013c97d5fadfb855551b5d113690ac133c1dcce631a2758a9ddd2b"),
     ],
     ids=["giant", "connectivity", "trees", "count-ratio"],
 )
