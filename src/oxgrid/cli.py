@@ -279,9 +279,14 @@ def _verify_oracle(cap: int) -> list[tuple[str, bool, str]]:
     return results
 
 
+# the equivalence suite's sizes; (2, 2, 3) has 8 outcomes, so the suite
+# needs at least 73 samples to be able to fail
+_EQUIVALENCE_SIZES = [(2, 2, 2), (2, 2, 3)]
+
+
 def _verify_equivalence(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     results = []
-    for index, (m, n, t) in enumerate([(2, 2, 2), (2, 2, 3)]):
+    for index, (m, n, t) in enumerate(_EQUIVALENCE_SIZES):
         rng = make_stream(seed + index)
         report = oracle.tp_equivalence_test(m, n, t, samples, rng)
         results.append(
@@ -301,6 +306,13 @@ def _cmd_verify(args) -> int:
         raise InputError(f"--cap must be a finite number >= 1, got {args.cap}")
     if args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
+    if args.suite in ("equivalence", "all"):
+        least = max(oracle.equivalence_min_samples(*size) for size in _EQUIVALENCE_SIZES)
+        if args.samples < least:
+            raise InputError(
+                f"--samples must be >= {least} for the equivalence suite, which "
+                f"cannot fail with fewer, got {args.samples}"
+            )
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     cap = int(args.cap)

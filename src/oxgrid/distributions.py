@@ -342,11 +342,10 @@ def sample_truncated(
 def sample_truncated_streams(
     params: TruncatedPoissonParams,
     rngs: Sequence[np.random.Generator],
-    sizes: int | Sequence[int],
+    size: int,
 ) -> np.ndarray:
-    """``sizes[r]`` samples from each stream ``rngs[r]``, or ``sizes`` from
-    each when it is an int, end to end in one flat int64 array; run r is
-    what stream r draws alone.
+    """``size`` samples from each stream of ``rngs``, end to end in one flat
+    int64 array; run r is what stream r draws alone.
 
     At rate <= 30 every stream draws its uniforms into one array, which one
     inverse-CDF lookup maps; above, each stream draws Poisson(rate) values
@@ -354,10 +353,10 @@ def sample_truncated_streams(
     """
     rate = params.rate
     if rate <= _INVERSE_CDF_MAX_RATE:
-        return _inverse_cdf(rate, stream_uniforms(rngs, sizes)).astype(np.int64, copy=False)
+        return _inverse_cdf(rate, stream_uniforms(rngs, size)).astype(np.int64, copy=False)
     runs = []
-    for rng, k in zip(rngs, np.broadcast_to(sizes, len(rngs)).tolist()):
-        run = rng.poisson(rate, k)
+    for rng in rngs:
+        run = rng.poisson(rate, size)
         zero = run == 0
         while zero.any():
             run[zero] = rng.poisson(rate, int(zero.sum()))

@@ -239,34 +239,34 @@ class _Budget:
         self.expected += expected
 
 
-def _runs(owner: np.ndarray, streams: int) -> tuple[list[int], list[int]]:
-    """The streams that own rows of ``owner``, an ascending array of stream
-    indices below ``streams``, and how many rows each owns."""
-    if streams == 1:
-        return [0], [owner.size]
-    sizes = np.bincount(owner, minlength=streams)
-    present = np.flatnonzero(sizes)
-    return present.tolist(), sizes[present].tolist()
+def _owners(
+    rows: np.ndarray,
+    vectors: int,
+    rngs: Sequence[np.random.Generator],
+    budgets: Sequence[_Budget],
+) -> tuple[list[np.random.Generator], list[_Budget]]:
+    """The generators and budgets of the streams that own ``rows``, ascending
+    rows of a block of ``vectors`` per stream, in which row r is stream
+    r // vectors's. A block is one vector per stream or one stream, so each
+    owner's first row is one of every ``vectors``."""
+    streams = (rows[::vectors] // vectors).tolist()
+    return [rngs[s] for s in streams], [budgets[s] for s in streams]
 
 
 def _draws(
-    params: TruncatedPoissonParams,
-    rngs: Sequence[np.random.Generator],
-    sizes: int | Sequence[int],
+    params: TruncatedPoissonParams, rngs: Sequence[np.random.Generator], size: int
 ) -> np.ndarray:
     """:func:`sample_truncated_streams`, with one stream drawing through this
     module's ``sample_truncated``, where tests and profilers can watch it."""
     if len(rngs) == 1:
-        size = sizes if isinstance(sizes, (int, np.integer)) else sizes[0]
         return sample_truncated(params, rngs[0], size)
-    return sample_truncated_streams(params, rngs, sizes)
+    return sample_truncated_streams(params, rngs, size)
 
 
 def _accepted_prefixes(
     params: TruncatedPoissonParams,
     h: int,
     j: int,
-    owner: np.ndarray,
     targets: np.ndarray,
     predicted: np.ndarray,
     rngs: Sequence[np.random.Generator],
@@ -276,40 +276,36 @@ def _accepted_prefixes(
     P(S_j = target - s) / max_r P(S_j = r), where s is the prefix sum.
     ``predicted`` is each row's estimated chance of keeping a candidate.
 
-    Row r draws from ``rngs[owner[r]]`` and charges ``budgets[owner[r]]``;
-    ``owner`` ascends. In each round every open stream, in index order, is
-    charged for its open rows, then draws their candidate prefixes and then
-    one keep uniform for each, as it would alone; one lookup, one row sum
-    and one ``law.take`` serve all the streams."""
+    The rows come in stream order, an equal run of them for each stream
+    ``rngs[s]``, which charges ``budgets[s]``; a block is one vector per
+    stream or one stream, so the open streams keep equal runs of open rows.
+    In each round every open stream, in order, is charged for its open
+    rows, then draws their candidate prefixes and then one keep uniform for
+    each, as it would alone; one lookup, one row sum and one ``law.take``
+    serve all the streams, and a stream closes once its rows are kept."""
     first, law = _sum_law(params.rate, j)
     out = np.empty((targets.size, h), dtype=np.int64)
     open_rows = np.arange(targets.size)
     offsets = targets - first  # each open row's target as an index into law
-    streams, sizes = _runs(owner, len(rngs))  # the open streams and their open rows
-    open_rngs = [rngs[s] for s in streams]
     while True:
-        start = 0
-        for s, k in zip(streams, sizes):
-            budgets[s].spend(k, float(predicted[start : start + k].sum()))
-            start += k
-        draws = _draws(params, open_rngs, [k * h for k in sizes]).reshape(-1, h)
-        u = stream_uniforms(open_rngs, sizes)
+        each = open_rows.size // len(rngs)  # every open stream's open rows
+        for budget, expected in zip(budgets, predicted.reshape(-1, each).sum(axis=1).tolist()):
+            budget.spend(each, expected)
+        draws = _draws(params, rngs, each * h).reshape(-1, h)
+        u = stream_uniforms(rngs, each)
         keep = u < law.take(offsets - draws.sum(axis=1), mode="clip")
         kept = int(np.count_nonzero(keep))
         if not kept:
             continue
         out[open_rows[keep]] = draws[keep]
+        hits = np.count_nonzero(keep.reshape(-1, each), axis=1)
+        for budget, accepted in zip(budgets, hits.tolist()):
+            budget.accepted += accepted
         if kept == open_rows.size:
-            for s, k in zip(streams, sizes):
-                budgets[s].accepted += k
             return out
-        hits = np.add.reduceat(keep, np.cumsum([0] + sizes[:-1]), dtype=np.intp).tolist()
-        for s, accepted in zip(streams, hits):
-            budgets[s].accepted += accepted
-        sizes = [k - accepted for k, accepted in zip(sizes, hits)]
-        if 0 in sizes:
-            streams, open_rngs = list(compress(streams, sizes)), list(compress(open_rngs, sizes))
-            sizes = [k for k in sizes if k]
+        lacks = (hits < each).tolist()
+        if not all(lacks):
+            rngs, budgets = list(compress(rngs, lacks)), list(compress(budgets, lacks))
         redraw = ~keep
         open_rows, offsets, predicted = open_rows[redraw], offsets[redraw], predicted[redraw]
 
@@ -338,7 +334,8 @@ def _leaf_vectors(
     until it has ``vectors`` of them. The streams run in lock-step, but
     each draws exactly what it would draw alone and spends its own budget;
     the open streams are charged in index order, so the first one to run
-    out raises."""
+    out raises. A stream's generator and budget leave the round together
+    once it has its vectors."""
     first, ratio, peak = _pmf_ratios(params.rate)
     # local CLT at the mean: count iid draws hit target with chance
     # ~ 1/sqrt(2 pi var count), and a candidate is kept 1/peak times as often
@@ -358,15 +355,13 @@ def _leaf_vectors(
     free = count - 1
     out = np.empty((len(rngs), vectors, count), dtype=np.int64)
     flat = out.reshape(-1, count)  # stream s fills rows s * vectors onwards
-    streams = list(range(len(rngs)))  # the streams still short of vectors
-    open_rngs = list(rngs)
     fill = np.arange(0, len(rngs) * vectors, vectors)  # each open stream's next row
     end = fill + vectors
-    while streams:
-        for s in streams:
-            budgets[s].spend(batch, expected)
-        draws = _draws(params, open_rngs, batch * free).reshape(-1, free)
-        u = stream_uniforms(open_rngs, batch)
+    while rngs:  # the streams still short of vectors
+        for budget in budgets:
+            budget.spend(batch, expected)
+        draws = _draws(params, rngs, batch * free).reshape(-1, free)
+        u = stream_uniforms(rngs, batch)
         # einsum sums a short last axis several times faster than sum
         last = target - np.einsum("ij->i", draws)
         hits = np.flatnonzero(u < ratio.take(last - first, mode="clip"))
@@ -375,10 +370,10 @@ def _leaf_vectors(
         # hits ascend, so each stream's hits are one run of them in draw
         # order: it keeps the first ones, up to what it lacks, as rows fill,
         # fill + 1, ... Only the hits are ranked, not the whole batch
-        bounds = np.searchsorted(hits, np.arange(len(streams) + 1) * batch)
+        bounds = np.searchsorted(hits, np.arange(len(rngs) + 1) * batch)
         counts = np.diff(bounds)
-        for s, accepted in zip(streams, counts.tolist()):
-            budgets[s].accepted += accepted
+        for budget, accepted in zip(budgets, counts.tolist()):
+            budget.accepted += accepted
         taken = np.minimum(counts, end - fill)
         cut = np.cumsum(taken)
         base = cut - taken  # each stream's first kept hit among all kept ones
@@ -392,7 +387,7 @@ def _leaf_vectors(
         lacks = short.tolist()
         if not any(lacks):
             break
-        streams, open_rngs = list(compress(streams, lacks)), list(compress(open_rngs, lacks))
+        rngs, budgets = list(compress(rngs, lacks)), list(compress(budgets, lacks))
         fill, end = fill[short], end[short]
     return out
 
@@ -410,12 +405,14 @@ def _split(
     ``out[s]``; the recursive step of :func:`_condition`.
 
     Every row of every stream shares the split point and the rate of each
-    level; rows that start afresh do so through :func:`_restart`."""
+    level; rows that start afresh do so through :func:`_restart`. Row r of
+    the block is stream r // vectors's, so the streams a level draws on
+    follow from its rows (:func:`_owners`), and each draws as many
+    candidates a round as every other."""
     vectors = out.shape[1]
     assert vectors == 1 or len(rngs) == 1, "a block is one vector per stream or one stream"
     flat = out.reshape(-1, count)  # a view: out is C-contiguous
     rows = np.arange(flat.shape[0])  # the rows still conditioned at this rate
-    owner = rows // vectors  # the stream each row draws from
     targets = np.full(rows.size, total, dtype=np.int64)  # what each has left to sum to
     z = np.zeros(rows.size)  # their targets' distance from the mean, in sd
     done = 0
@@ -424,19 +421,20 @@ def _split(
         rest = count - done - h
         # local CLT: a row keeps a candidate with chance ~ sqrt(j/(h+j)) e^(-z^2/2)
         predicted = math.sqrt(rest / (count - done)) * np.exp(-0.5 * z * z)
-        prefix = _accepted_prefixes(params, h, rest, owner, targets, predicted, rngs, budgets)
+        block = _owners(rows, vectors, rngs, budgets)
+        prefix = _accepted_prefixes(params, h, rest, targets, predicted, *block)
         flat[rows, done : done + h] = prefix
         targets -= prefix.sum(axis=1)
         done += h
         if rest <= _LEAF:
-            _restart(flat, done, rest, rows, owner, targets, rngs, budgets)
+            _restart(flat, done, rest, rows, vectors, targets, rngs, budgets)
             return
         z = (targets - rest * params.mean) / math.sqrt(rest * params.variance)
         fresh = np.abs(z) > _STRAY
         if np.count_nonzero(fresh):
-            _restart(flat, done, rest, rows[fresh], owner[fresh], targets[fresh], rngs, budgets)
+            _restart(flat, done, rest, rows[fresh], vectors, targets[fresh], rngs, budgets)
             stay = ~fresh
-            rows, owner, targets, z = rows[stay], owner[stay], targets[stay], z[stay]
+            rows, targets, z = rows[stay], targets[stay], z[stay]
 
 
 def _restart(
@@ -444,21 +442,21 @@ def _restart(
     done: int,
     rest: int,
     rows: np.ndarray,
-    owner: np.ndarray,
+    vectors: int,
     targets: np.ndarray,
     rngs: Sequence[np.random.Generator],
     budgets: Sequence[_Budget],
 ) -> None:
     """Condition the last ``rest`` coordinates of each row of ``flat`` in
-    ``rows``, owned by the streams ``owner`` (ascending), afresh on its
+    ``rows`` (ascending, row r drawn by stream r // vectors) afresh on its
     ``targets`` entry, one call per target in ascending order. A block is
     one vector per stream or one stream, so every stream at a target brings
     as many rows, and restarts them in the order it would alone."""
     for target in sorted(set(targets.tolist())):
-        at = targets == target
-        streams, sizes = _runs(owner[at], len(rngs))
-        block = [rngs[s] for s in streams], [budgets[s] for s in streams]
-        flat[rows[at], done:] = _condition(sizes[0], rest, target, *block).reshape(-1, rest)
+        at = rows[targets == target]
+        block = _owners(at, vectors, rngs, budgets)
+        each = at.size // len(block[0])  # the rows each of its streams brings
+        flat[at, done:] = _condition(each, rest, target, *block).reshape(-1, rest)
 
 
 def _condition(

@@ -34,6 +34,7 @@ __all__ = [
     "exhaustive_census",
     "enumerate_bipartite_trees",
     "EquivalenceReport",
+    "equivalence_min_samples",
     "tp_equivalence_test",
 ]
 
@@ -222,6 +223,23 @@ def tv_distance(
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+def _exact_law(m: int, n: int, t: int) -> dict[tuple[int, ...], float]:
+    """The uniform law of the valid sequences at (m, n, t), collapsed to
+    canonical edge multisets."""
+    census = exhaustive_census(m, n, t)
+    if census.valid_count == 0:
+        raise SizeError(f"no valid outcomes at (m={m}, n={n}, t={t})")
+    return {k: c / census.valid_count for k, c in census.outcome_frequencies.items()}
+
+
+def equivalence_min_samples(m: int, n: int, t: int) -> int:
+    """The fewest samples with which :func:`tp_equivalence_test` can fail at
+    (m, n, t). Every tp draw lies in the law's support, so the total
+    variation distance is below 1, and it passes the threshold
+    3 * sqrt(n_outcomes / samples) whenever samples <= 9 * n_outcomes."""
+    return 9 * len(_exact_law(m, n, t)) + 1
+
+
 def tp_equivalence_test(
     m: int,
     n: int,
@@ -236,19 +254,21 @@ def tp_equivalence_test(
     bulk configuration-model draws collapsed the same way. Passes when the
     total variation distance is at most 3 * sqrt(n_outcomes / samples), a
     threshold that scales with the Monte Carlo noise floor instead of a
-    fixed constant.
+    fixed constant. Raises SizeError before sampling when ``samples`` is
+    at most 9 * n_outcomes, where the check cannot fail
+    (:func:`equivalence_min_samples`).
     """
     rng = make_stream(0) if rng is None else rng
-    census = exhaustive_census(m, n, t)
-    if census.valid_count == 0:
-        raise SizeError(f"no valid outcomes at (m={m}, n={n}, t={t})")
-    exact = {
-        k: c / census.valid_count for k, c in census.outcome_frequencies.items()
-    }
+    exact = _exact_law(m, n, t)
+    n_outcomes = len(exact)
+    if samples <= 9 * n_outcomes:
+        raise SizeError(
+            f"{samples} samples cannot fail the equivalence check at (m={m}, n={n}, t={t}): "
+            f"its {n_outcomes} outcomes need at least {9 * n_outcomes + 1}"
+        )
     counts = tp_multiset_counts(m, n, t, samples, rng)
     empirical = {k: c / samples for k, c in counts.items()}
     tv = tv_distance(exact, empirical)
-    n_outcomes = len(exact)
     threshold = 3.0 * math.sqrt(n_outcomes / samples)
     return EquivalenceReport(
         m=m,

@@ -19,12 +19,15 @@ hash constant of each of these steps is fixed, whatever the data, so they
 are cached too, and both steps run lane-wise in numpy, one lane per index.
 Tests hold every derived stream's state equal to the ``SeedSequence`` one
 for seeds up to 2^128 + 11 and indices up to 2^64 + 1.
+
+Lock-step sampling draws the same count from each of several streams in a
+round; :func:`stream_uniforms` lays those uniforms end to end in one array.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -150,22 +153,13 @@ def split_streams(seed: int, start: int, stop: int) -> list[np.random.Generator]
     return out
 
 
-def stream_uniforms(
-    rngs: Sequence[np.random.Generator], sizes: int | Sequence[int]
-) -> np.ndarray:
-    """``sizes[r]`` uniforms on [0, 1) from each stream ``rngs[r]``, or
-    ``sizes`` from each when it is an int, end to end in one flat array: run
-    r is exactly ``rngs[r].random(sizes[r])``."""
-    equal = isinstance(sizes, (int, np.integer))
+def stream_uniforms(rngs: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    """``size`` uniforms on [0, 1) from each stream of ``rngs``, end to end
+    in one flat array: run r is exactly ``rngs[r].random(size)``."""
     if len(rngs) == 1:
-        return rngs[0].random(sizes if equal else sizes[0])
-    out = np.empty(len(rngs) * sizes if equal else sum(sizes))
-    if equal:
-        # the rows of one view cost less than a slice each
-        runs = out.reshape(len(rngs), sizes)
-    else:
-        ends = accumulate(sizes)
-        runs = [out[end - size : end] for size, end in zip(sizes, ends)]
-    for run, rng in zip(runs, rngs):
-        rng.random(out=run)
-    return out
+        return rngs[0].random(size)
+    # the rows of one view cost less than a slice each
+    out = np.empty((len(rngs), size))
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    return out.reshape(-1)

@@ -531,6 +531,25 @@ def test_verify_rejects_samples_below_one_up_front(capsys, argv):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("suite", ["equivalence", "all"])
+def test_verify_rejects_samples_that_cannot_fail_up_front(capsys, suite):
+    # (2, 2, 3) has 8 outcomes: below 9 * 8 + 1 samples its check passes any
+    # sampler, so a run that could only pass is an input error
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--samples", "72")
+    assert code == 1
+    assert out == ""
+    assert "--samples must be >= 73" in err
+
+
+def test_verify_runs_at_the_fewest_samples(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "equivalence", "--samples", "73")
+    assert code == 0
+    assert out.splitlines()[-1] == "2/2 checks passed"
+    # the oracle suite draws no samples, so it takes any count from 1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--cap", "10", "--samples", "1")
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "kind,config",
     [

@@ -488,18 +488,37 @@ def test_tp_edges_per_stream_match_sample_tp(m, n, t):
 
 @pytest.fixture
 def leaf_batches(monkeypatch):
-    """The batch of every leaf round, in call order: a leaf asks for one keep
-    uniform per candidate and stream, the split's prefixes for a list."""
+    """The keep uniforms each stream asks for in every round, in call order:
+    one per candidate, so on a side of at most ``_LEAF`` coordinates the
+    first size is the leaf's batch."""
     batches = []
     real = generators.stream_uniforms
 
-    def spy(rngs, sizes):
-        if isinstance(sizes, int):
-            batches.append(sizes)
-        return real(rngs, sizes)
+    def spy(rngs, size):
+        batches.append(size)
+        return real(rngs, size)
 
     monkeypatch.setattr(generators, "stream_uniforms", spy)
     return batches
+
+
+def test_lock_step_rounds_draw_one_count_per_stream(monkeypatch):
+    # a block is one graph per stream or many graphs on one stream, so every
+    # open stream draws as many candidates as every other in a round, and
+    # the draw helpers are asked for one int, never per-stream sizes; the
+    # runs cover prefixes and leaves, below and above rate 30
+    sizes = []
+    for name in ("stream_uniforms", "_draws"):
+
+        def spy(*args, real=getattr(generators, name)):
+            sizes.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(generators, name, spy)
+    for m, n, t in [(65, 30, 100), (3, 70, 3000)]:
+        generators.sample_tp_edges(m, n, t, [split_stream(99, i) for i in range(16)])
+    generators.tp_multiset_counts(70, 2, 140, 50, make_stream(99))
+    assert sizes and all(type(size) is int for size in sizes)
 
 
 def _leaf_replay(count, total, vectors, rng, batch):

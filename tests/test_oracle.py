@@ -232,6 +232,21 @@ def test_equivalence_below_max_side_has_no_law_to_test():
         tp_equivalence_test(2, 3, 2, 100, make_stream(0))
 
 
+def test_equivalence_refuses_samples_that_cannot_fail():
+    # every draw lies in the support, so TV < 1, and at samples <= 9 *
+    # n_outcomes the threshold 3 * sqrt(n_outcomes / samples) >= 1 passes
+    # any sampler: (2, 2, 3) has 8 outcomes, so 72 is refused before a draw
+    assert oracle.equivalence_min_samples(2, 2, 3) == 73
+    rng = make_stream(5)
+    state = rng.bit_generator.state
+    with pytest.raises(SizeError, match="at least 73"):
+        tp_equivalence_test(2, 2, 3, 72, rng)
+    assert rng.bit_generator.state == state
+    report = tp_equivalence_test(2, 2, 3, 73, rng)
+    assert (report.samples, report.n_outcomes) == (73, 8)
+    assert report.threshold < 1
+
+
 def test_equivalence_small_campaign():
     report = tp_equivalence_test(2, 2, 2, 50_000, make_stream(2))
     assert report.passed
