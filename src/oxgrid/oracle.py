@@ -223,21 +223,12 @@ def tv_distance(
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-def _exact_law(m: int, n: int, t: int) -> dict[tuple[int, ...], float]:
-    """The uniform law of the valid sequences at (m, n, t), collapsed to
-    canonical edge multisets."""
-    census = exhaustive_census(m, n, t)
-    if census.valid_count == 0:
-        raise SizeError(f"no valid outcomes at (m={m}, n={n}, t={t})")
-    return {k: c / census.valid_count for k, c in census.outcome_frequencies.items()}
-
-
 def equivalence_min_samples(m: int, n: int, t: int) -> int:
     """The fewest samples with which :func:`tp_equivalence_test` can fail at
     (m, n, t). Every tp draw lies in the law's support, so the total
     variation distance is below 1, and it passes the threshold
     3 * sqrt(n_outcomes / samples) whenever samples <= 9 * n_outcomes."""
-    return 9 * len(_exact_law(m, n, t)) + 1
+    return 9 * len(exhaustive_census(m, n, t).outcome_frequencies) + 1
 
 
 def tp_equivalence_test(
@@ -259,7 +250,12 @@ def tp_equivalence_test(
     (:func:`equivalence_min_samples`).
     """
     rng = make_stream(0) if rng is None else rng
-    exact = _exact_law(m, n, t)
+    census = exhaustive_census(m, n, t)
+    if census.valid_count == 0:
+        raise SizeError(f"no valid outcomes at (m={m}, n={n}, t={t})")
+    exact = {
+        k: c / census.valid_count for k, c in census.outcome_frequencies.items()
+    }
     n_outcomes = len(exact)
     if samples <= 9 * n_outcomes:
         raise SizeError(
