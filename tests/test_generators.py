@@ -450,6 +450,77 @@ def test_strayed_targets_start_afresh(monkeypatch):
         assert max(runs) <= 150
 
 
+def _surjections(k: int, lo: int, hi: int) -> list[int]:
+    """Surj(s, k), the surjections of s labeled balls onto k labeled boxes,
+    for s = lo..hi (lo >= 1): :func:`surjection_count`'s inclusion-exclusion,
+    each power (k - j)^s one multiplication on from the last."""
+    bases = np.array(range(k, 0, -1), dtype=object)
+    terms = np.array([(-1) ** j * math.comb(k, j) * (k - j) ** lo for j in range(k)], dtype=object)
+    out = []
+    for _ in range(lo, hi + 1):
+        out.append(terms.sum())
+        terms *= bases
+    return out
+
+
+def _partial_sum_law(h: int, count: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, p)``: P(S_h = s | S_count = total) over its support s = h ..
+    total - (count - h), where S_k sums k iid truncated-Poisson degrees. It
+    is C(total, s) Surj(s, h) Surj(total - s, count - h) / Surj(total, count)
+    whatever the rate: the degrees given their sum are the box sizes of
+    ``total`` balls thrown onto ``count`` boxes, no box empty."""
+    lo, hi = h, total - (count - h)
+    first = _surjections(h, lo, hi)
+    rest = _surjections(count - h, total - hi, total - lo)[::-1]
+    whole = surjection_count(total, count)
+    law = [math.comb(total, s) * a * b / whole for s, a, b in zip(range(lo, hi + 1), first, rest)]
+    return np.arange(lo, hi + 1), np.array(law)
+
+
+def _law_gate_samples(shape: str) -> tuple[int, np.ndarray]:
+    """``(total, degrees)`` for one shape of the partial-sum law gate, one
+    conditioned degree vector a row."""
+    if shape == "split":
+        # prefixes of 150, 75 and 37 coordinates, then leaves of 38; strayed
+        # rows restart
+        budget = generators._Budget(300, 600, 10**6 * 20_000)
+        return 600, generators._condition(20_000, 300, 600, [make_stream(2026)], [budget])[0]
+    if shape == "leaf":
+        # one stream's many-vector leaf at rate 50, above the inverse CDF
+        budget = generators._Budget(40, 2000, 10**6 * 20_000)
+        return 2000, generators._condition(20_000, 40, 2000, [make_stream(2027)], [budget])[0]
+    # left degrees of 300 lock-step streams, one graph each, split at 50
+    m, streams = 100, 300
+    edges = generators.sample_tp_edges(m, 40, 260, [split_stream(2028, i) for i in range(streams)])
+    owners = edges[:, :, 0] + m * np.arange(streams)[:, None]
+    return 260, np.bincount(owners.ravel(), minlength=m * streams).reshape(streams, m)
+
+
+# Three shapes check 3 + 2 + 3 sums, each by its mean and by chi-square: 16
+# checks share a total level of 10^-3
+_LAW_GATE_LEVEL = 1e-3 / 16
+
+
+@pytest.mark.parametrize("shape", ["split", "leaf", "lock-step"])
+def test_conditioned_partial_sums_match_exact_law(shape):
+    # sums of the first half, of all but the last and of the first 64
+    # coordinates at real sizes: FFT sum laws past 64 coordinates, strayed
+    # restarts at the real _LEAF and _STRAY, ratio windows above rate 30,
+    # many-vector leaf batches and lock-step streams, against the exact law
+    total, degrees = _law_gate_samples(shape)
+    samples, count = degrees.shape
+    assert degrees.min() >= 1 and (degrees.sum(axis=1) == total).all()
+    for h in sorted({count // 2, count - 1, min(64, count - 1)}):
+        support, law = _partial_sum_law(h, count, total)
+        assert abs(law.sum() - 1.0) < 1e-12
+        sums = degrees[:, :h].sum(axis=1)
+        sd = math.sqrt(law @ support**2 - (h * total / count) ** 2)
+        z = (sums.mean() - h * total / count) / (sd / math.sqrt(samples))
+        assert math.erfc(abs(z) / math.sqrt(2)) >= _LAW_GATE_LEVEL, (h, z)
+        observed = np.bincount(sums - support[0], minlength=support.size)
+        assert _chi_square_pvalue(observed, samples * law) >= _LAW_GATE_LEVEL, h
+
+
 def test_conditioning_budget_failure_is_informative():
     with pytest.raises(AttemptsExhausted) as err:
         sample_tp(2000, 2000, 2600, make_stream(0), max_attempts=1)
