@@ -12,7 +12,6 @@ from .distributions import (
     implied_mean,
     implied_variance,
     pmf,
-    sample_poisson,
     sample_truncated,
     size_biased_pmf,
     solve_rate,

@@ -31,7 +31,6 @@ __all__ = [
     "size_biased_pmf",
     "sample_truncated",
     "sample_truncated_streams",
-    "sample_poisson",
     "tail_bounds",
 ]
 
@@ -363,15 +362,6 @@ def sample_truncated_streams(
             zero = run == 0
         runs.append(run)
     return np.concatenate(runs).astype(np.int64, copy=False)
-
-
-def sample_poisson(rate: float, rng: np.random.Generator, size: int | None = None):
-    """Plain Poisson samples (numpy backend), validated rate >= 0."""
-    if not math.isfinite(rate) or rate < 0:
-        raise InputError(f"rate must be finite and >= 0, got {rate}")
-    if size is None:
-        return int(rng.poisson(rate))
-    return rng.poisson(rate, int(size)).astype(np.int64)
 
 
 def tail_bounds(rate: float, upper_multiple: float) -> tuple[float, float]:

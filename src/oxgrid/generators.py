@@ -116,21 +116,21 @@ def _covering_codes(
     rows: int,
     batch: int,
     rng: np.random.Generator,
-    max_batches: int = DEFAULT_MAX_ATTEMPTS,
 ) -> np.ndarray:
     """The first ``rows`` gr draws of t edge codes that leave no vertex
     isolated, shape (rows, t), in draw order: gr rows are drawn ``batch``
     at a time, and a row is kept when it sets all of its row of a coverage
     table, left vertices then right ones. Raises AttemptsExhausted when
-    ``max_batches`` batches do not hold ``rows`` of them, and before any
-    draw when ``rows`` at the estimated acceptance (1 - e^(-t/m))^m
-    (1 - e^(-t/n))^n need more than 1000 times that many attempts. Hit
-    vertices are negatively associated (Dubhashi & Ranjan, RSA 13(2), 1998),
-    so the exact acceptance is at most the product over sides of
-    (1 - (1 - 1/k)^t)^k, which on sides up to 10^5 is at most (1 - 1/e)^-2
-    ~ 2.503 times the estimate: such a budget all but surely fails."""
+    ``DEFAULT_MAX_ATTEMPTS`` batches do not hold ``rows`` of them, and
+    before any draw when ``rows`` at the estimated acceptance
+    (1 - e^(-t/m))^m (1 - e^(-t/n))^n need more than 1000 times that many
+    attempts. Hit vertices are negatively associated (Dubhashi & Ranjan,
+    RSA 13(2), 1998), so the exact acceptance is at most the product over
+    sides of (1 - (1 - 1/k)^t)^k, which on sides up to 10^5 is at most
+    (1 - 1/e)^-2 ~ 2.503 times the estimate: such a budget all but surely
+    fails."""
     _check_min_degree(m, n, t)
-    attempts = max_batches * batch
+    attempts = DEFAULT_MAX_ATTEMPTS * batch
     accept = (-math.expm1(-t / m)) ** m * (-math.expm1(-t / n)) ** n
     if rows > 1000 * attempts * accept:
         raise AttemptsExhausted(
@@ -141,7 +141,7 @@ def _covering_codes(
     base = np.arange(0, batch * (m + n), m + n)[:, None]  # each row's first entry
     kept: list[np.ndarray] = []
     have = 0
-    for _ in range(max_batches):
+    for _ in range(DEFAULT_MAX_ATTEMPTS):
         codes = _gr_codes(m, n, t, rng, batch)
         left, right = np.divmod(codes, n)
         covered = np.zeros(batch * (m + n), dtype=bool)
@@ -159,17 +159,10 @@ def _covering_codes(
     )
 
 
-def sample_gr1(
-    m: int,
-    n: int,
-    t: int,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> BipartiteMultigraph:
-    """Uniform sample with minimum degree 1: redraw gr until no vertex is isolated."""
-    if max_attempts < 1:
-        raise InputError("max_attempts must be >= 1")
-    codes = _covering_codes(m, n, t, 1, 1, rng, max_attempts)[0]
+def sample_gr1(m: int, n: int, t: int, rng: np.random.Generator) -> BipartiteMultigraph:
+    """Uniform sample with minimum degree 1: redraw gr until no vertex is
+    isolated, at most ``DEFAULT_MAX_ATTEMPTS`` times."""
+    codes = _covering_codes(m, n, t, 1, 1, rng)[0]
     return BipartiteMultigraph(m, n, np.column_stack(np.divmod(codes, n)))
 
 
@@ -220,8 +213,6 @@ class _Budget:
     probabilities predicted; the limit is checked before each batch."""
 
     def __init__(self, count: int, total: int, limit: int):
-        if limit < 1:
-            raise InputError(f"max_attempts must be >= 1, got {limit}")
         self.count, self.total, self.limit = count, total, limit
         self.drawn = self.accepted = 0
         self.expected = 0.0
@@ -536,7 +527,6 @@ def _paired_stubs(
     t: int,
     vectors: int,
     rngs: Sequence[np.random.Generator],
-    max_attempts: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``vectors`` tp graphs per stream as stub owners ``(left, right)``,
     each of shape (len(rngs), vectors, t): edge k of a graph joins
@@ -544,17 +534,16 @@ def _paired_stubs(
     stream (``vectors == 1``) or one stream.
 
     Each stream conditions its left degree vectors, then its right ones
-    (:func:`_condition`, a budget of ``max_attempts`` candidate vectors per
-    graph and side), then shuffles each of its graphs' right stubs in turn,
+    (:func:`_condition`, a budget of ``DEFAULT_MAX_ATTEMPTS`` candidate
+    vectors per graph and side), then shuffles each of its graphs' right stubs in turn,
     which draws what ``permutation(t)`` draws for each.
     """
     _check_min_degree(m, n, t)
     # every stream draws its left side before its right, and both sides are
     # conditioned before any stubs are laid out, which keeps the peak small
+    limit = DEFAULT_MAX_ATTEMPTS * vectors
     left, right = [
-        _condition(
-            vectors, count, t, rngs, [_Budget(count, t, max_attempts * vectors) for _ in rngs]
-        )
+        _condition(vectors, count, t, rngs, [_Budget(count, t, limit) for _ in rngs])
         for count in (m, n)
     ]
     left, right = _stubs(left), _stubs(right)
@@ -564,43 +553,33 @@ def _paired_stubs(
 
 
 def sample_tp_edges(
-    m: int,
-    n: int,
-    t: int,
-    rngs: Sequence[np.random.Generator],
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    m: int, n: int, t: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """The edges of one :func:`sample_tp` graph per stream, shape
     (len(rngs), t, 2): row r is exactly ``sample_tp(m, n, t, rngs[r]).edges``.
 
     The one-graph-per-stream case of :func:`_paired_stubs`: every stream
     makes the draws that :func:`sample_tp` makes on it, with its own budget
-    of ``max_attempts`` candidate vectors per side, and the streams run in
-    lock-step, so a round of candidates costs one inverse-CDF lookup for all
-    of them.
+    of ``DEFAULT_MAX_ATTEMPTS`` candidate vectors per side, and the streams
+    run in lock-step, so a round of candidates costs one inverse-CDF lookup
+    for all of them.
     """
-    left, right = _paired_stubs(m, n, t, 1, rngs, max_attempts)
+    left, right = _paired_stubs(m, n, t, 1, rngs)
     edges = np.empty((len(rngs), t, 2), dtype=np.int64)
     edges[:, :, 0], edges[:, :, 1] = left[:, 0], right[:, 0]
     return edges
 
 
-def sample_tp(
-    m: int,
-    n: int,
-    t: int,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> BipartiteMultigraph:
+def sample_tp(m: int, n: int, t: int, rng: np.random.Generator) -> BipartiteMultigraph:
     """Truncated-Poisson configuration model.
 
     Left degrees are iid truncated Poisson with mean t/m conditioned to sum
     to t, right degrees likewise with mean t/n (the algorithm is described
     at :func:`_condition`); vertex stubs are then paired by a single uniform
-    permutation and collapsed. ``max_attempts`` bounds the candidate vectors
-    drawn per side. The one-stream case of :func:`sample_tp_edges`.
+    permutation and collapsed. ``DEFAULT_MAX_ATTEMPTS`` bounds the candidate
+    vectors drawn per side. The one-stream case of :func:`sample_tp_edges`.
     """
-    return BipartiteMultigraph(m, n, sample_tp_edges(m, n, t, [rng], max_attempts)[0])
+    return BipartiteMultigraph(m, n, sample_tp_edges(m, n, t, [rng])[0])
 
 
 def sample_er(
@@ -724,7 +703,7 @@ def tp_multiset_counts(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    left, right = _paired_stubs(m, n, t, samples, [rng], DEFAULT_MAX_ATTEMPTS)
+    left, right = _paired_stubs(m, n, t, samples, [rng])
     codes = left[0]
     codes *= n
     codes += right[0]

@@ -12,7 +12,6 @@ from oxgrid.distributions import (
     implied_variance,
     pmf,
     pmf_table,
-    sample_poisson,
     sample_truncated,
     size_biased_pmf,
     solve_rate,
@@ -336,16 +335,6 @@ def test_guide_table_marks_exactly_the_buckets_with_an_entry_inside():
     points = _lookup_points(cdf)
     expected = np.searchsorted(cdf, points, side="right") + 1
     assert np.array_equal(distributions._guided_lookup(cdf, guide, points), expected)
-
-
-def test_sample_poisson_validation(rng):
-    with pytest.raises(InputError):
-        sample_poisson(-1.0, rng)
-    with pytest.raises(InputError):
-        sample_poisson(float("nan"), rng)
-    assert sample_poisson(0.0, rng) == 0
-    draws = sample_poisson(3.0, rng, 200_000)
-    assert abs(draws.mean() - 3.0) <= 4 * math.sqrt(3.0 / draws.size)
 
 
 # ----------------------------------------------------------------------

@@ -71,8 +71,6 @@ def test_streams_reject_negative_seeds_and_indices(make):
 def test_gr1_preconditions():
     with pytest.raises(InputError):
         sample_gr1(2, 2, 1, make_stream(0))
-    with pytest.raises(InputError):
-        sample_gr1(2, 2, 2, make_stream(0), max_attempts=0)
 
 
 def test_gr1_forced_instance():
@@ -87,11 +85,12 @@ def test_gr1_always_covers():
         assert g.t == 9
 
 
-def test_gr1_attempts_exhausted_reports_acceptance():
+def test_gr1_attempts_exhausted_reports_acceptance(monkeypatch):
     # (6,6,6) accepts only permutation matchings: acceptance ~ 2.4e-4,
     # so a couple of attempts nearly surely fail
+    monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", 2)
     with pytest.raises(AttemptsExhausted) as err:
-        sample_gr1(6, 6, 6, make_stream(3), max_attempts=2)
+        sample_gr1(6, 6, 6, make_stream(3))
     assert "acceptance" in str(err.value)
 
 
@@ -521,9 +520,10 @@ def test_conditioned_partial_sums_match_exact_law(shape):
         assert _chi_square_pvalue(observed, samples * law) >= _LAW_GATE_LEVEL, h
 
 
-def test_conditioning_budget_failure_is_informative():
+def test_conditioning_budget_failure_is_informative(monkeypatch):
+    monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", 1)
     with pytest.raises(AttemptsExhausted) as err:
-        sample_tp(2000, 2000, 2600, make_stream(0), max_attempts=1)
+        sample_tp(2000, 2000, 2600, make_stream(0))
     message = str(err.value)
     for field in ("count=2000", "total=2600", "attempts=", "observed acceptance", "predicted"):
         assert field in message
@@ -634,19 +634,11 @@ def test_sample_tp_draws_are_pinned():
     )
 
 
-def test_tp_rejects_an_empty_budget():
-    # a budget of 0 used to fail with ZeroDivisionError in the message
-    for max_attempts in (0, -1):
-        with pytest.raises(InputError):
-            sample_tp(30, 30, 60, make_stream(0), max_attempts=max_attempts)
-        with pytest.raises(InputError):
-            generators.sample_tp_edges(3, 3, 3, [make_stream(0)], max_attempts=max_attempts)
-
-
-def test_tp_edges_budget_failure_is_informative():
+def test_tp_edges_budget_failure_is_informative(monkeypatch):
+    monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", 1)
     rngs = [split_stream(97, i) for i in range(16)]
     with pytest.raises(AttemptsExhausted) as err:
-        generators.sample_tp_edges(30, 30, 60, rngs, max_attempts=1)
+        generators.sample_tp_edges(30, 30, 60, rngs)
     message = str(err.value)
     for field in ("budget of 1 ", "count=30", "total=60", "observed acceptance", "predicted"):
         assert field in message
@@ -657,8 +649,8 @@ def test_tp_edges_budget_failure_is_informative():
 CONDITION_SIZES = [(5, 22, 44), (40, 3, 7), (12, 30, 60), (3, 70, 150), (2, 70, 3000)]
 
 
-def _condition_alone(vectors, count, total, seed, i, max_attempts):
-    budget = generators._Budget(count, total, max_attempts)
+def _condition_alone(vectors, count, total, seed, i, limit):
+    budget = generators._Budget(count, total, limit)
     return generators._condition(vectors, count, total, [split_stream(seed, i)], [budget])[0]
 
 
@@ -810,23 +802,24 @@ def test_budget_reports_the_first_exhausted_stream():
 
 
 @pytest.mark.parametrize("m,n,t", [(22, 30, 60), (70, 30, 150)])
-def test_tp_edges_budgets_are_per_stream(m, n, t):
+def test_tp_edges_budgets_are_per_stream(monkeypatch, m, n, t):
     # a block succeeds with budget B exactly when every stream's sample_tp
     # succeeds alone with B; otherwise it fails as the first stream that
     # fails alone on the left side does, or, if none does, on the right
     streams = 16
     outcomes = set()
     for limit in (1, 16, 64, 128, 10**6):
+        monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", limit)
         failed = []
         for i in range(streams):
             try:
-                sample_tp(m, n, t, split_stream(99, i), max_attempts=limit)
+                sample_tp(m, n, t, split_stream(99, i))
             except AttemptsExhausted as err:
                 side = 0 if f"count={m}," in str(err) else 1
                 failed.append((side, i, str(err)))
         rngs = [split_stream(99, i) for i in range(streams)]
         try:
-            generators.sample_tp_edges(m, n, t, rngs, max_attempts=limit)
+            generators.sample_tp_edges(m, n, t, rngs)
             block = None
         except AttemptsExhausted as err:
             block = str(err)
