@@ -388,7 +388,13 @@ def _falling_sum(mean: float, k: int, step: int) -> float:
 # Combined report
 # ----------------------------------------------------------------------
 
-_EXACT_COUNT_LIMIT = 400  # inclusion-exclusion term count stays cheap below this
+# predict's exact count is a big-int inclusion-exclusion over max(m, n) + 1
+# terms of about t log2(max(m, n)) bits each. It stays cheap up to 400 terms,
+# and a cap of 10^7 on max(m, n) * t keeps it near a second: on a 2-vCPU VM
+# (400, 400, 25000) took 1.1 s and (100, 100, 10^5) 1.3 s, where
+# (50, 50, 10^6) took 15 s and (400, 400, 10^7) over a minute
+_EXACT_COUNT_LIMIT = 400
+_EXACT_COUNT_WORK = 10**7
 
 
 @dataclass(frozen=True)
@@ -451,7 +457,9 @@ def predict(m: int, n: int, t: int, max_tree: int = 4) -> PredictionReport:
     sizes = np.arange(1, max_tree + 1)
     ea = np.zeros((max_tree + 1, max_tree + 1))
     ea[1:, 1:] = expected_trees(sizes[:, None], sizes, m, n, t)
-    exact = count_exact_log(m, n, t) if max(m, n) <= _EXACT_COUNT_LIMIT else None
+    side = max(m, n)
+    cheap = side <= _EXACT_COUNT_LIMIT and side * t <= _EXACT_COUNT_WORK
+    exact = count_exact_log(m, n, t) if cheap else None
     return PredictionReport(
         m=m,
         n=n,

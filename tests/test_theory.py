@@ -472,6 +472,18 @@ def test_predict_subcritical_report():
     assert payload["log_count_exact"] is not None
 
 
+@pytest.mark.parametrize("m,n,t", [(50, 50, 10**6), (400, 400, 10**7), (2, 2, 5 * 10**6 + 1)])
+def test_predict_leaves_out_an_exact_count_that_costs_too_much(m, n, t):
+    # the big-int count's cost grows with t as well as with the sides: the
+    # first two took 15 s and over a minute, so past max(m, n) * t = 10^7
+    # the report gives none, as it does past 400 vertices a side
+    assert predict(m, n, t).log_count_exact is None
+
+
+def test_predict_gives_the_exact_count_up_to_its_work_cap():
+    assert predict(2, 2, 5 * 10**6).log_count_exact == pytest.approx(5 * 10**6 * 2 * math.log(2))
+
+
 def test_predict_supercritical_report():
     report = predict(20, 22, 38)
     assert report.rate_product == pytest.approx(1.7705, abs=2e-3)
