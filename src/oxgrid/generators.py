@@ -535,8 +535,8 @@ def _paired_stubs(
 
     Each stream conditions its left degree vectors, then its right ones
     (:func:`_condition`, a budget of ``DEFAULT_MAX_ATTEMPTS`` candidate
-    vectors per graph and side), then shuffles each of its graphs' right stubs in turn,
-    which draws what ``permutation(t)`` draws for each.
+    vectors per graph and side), then shuffles each of its graphs' right
+    stubs in turn, which draws what ``permutation(t)`` draws for each.
     """
     _check_min_degree(m, n, t)
     # every stream draws its left side before its right, and both sides are
