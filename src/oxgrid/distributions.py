@@ -262,9 +262,14 @@ def _pmf_ratios(rate: float) -> tuple[int, np.ndarray, float]:
 # power of two makes the product exact
 _GUIDE_BUCKETS = 4096
 # Arrays of fewer uniforms take one searchsorted call. The guide lookup
-# has a fixed cost of some 5 to 8 us; at the genome fixtures' rates it took
-# 1.03 times the search's time on 2,048 uniforms and 0.81 times on 2,560
-_GUIDE_MIN_VALUES = 2500
+# has a fixed cost of some 5 to 8 us. Timed on freshly drawn arrays, as the
+# sampler meets them (a search of one array repeated trains the branch
+# predictor and ran 2.5 times as fast), at means 1.27 to 6.64 (the
+# fixtures' and the sweeps'): on a 2-vCPU VM, medians of 400 new arrays in
+# three runs, the guide first won at 500 uniforms for means 2.49 and up,
+# at 500 to 1,000 for 1.27 to 1.93, and tied or won at 1,000 for every
+# mean, e.g. 17.5 against 11.6 us for the search at mean 1.93
+_GUIDE_MIN_VALUES = 1000
 # The guide lookup runs over slices of this many uniforms, which bounds its
 # temporaries (np.take copies each slice's int16 index to intp)
 _GUIDE_SLICE = 1 << 15
@@ -328,7 +333,7 @@ def sample_truncated(
     Inverse CDF against a precomputed table for rate <= 30 (the support
     is short there); rejection from Poisson(rate) discarding zeros above,
     where zeros are vanishingly rare. The inverse CDF is one binary search
-    per uniform in arrays of fewer than 2,500; larger ones first read a
+    per uniform in arrays of fewer than 1,000; larger ones first read a
     4,096-bucket guide table (indexed search, Chen & Asau 1974), which
     gives k at once for every uniform whose bucket holds no CDF entry and
     binary-searches the rest, so both routes return the same k for every

@@ -38,7 +38,7 @@ outweighs the gain.
 A block of ``tp`` graphs is sampled with one :func:`sample_tp_edges` call:
 its streams draw one batch each per round, and one inverse-CDF lookup maps
 them all, on short sides and long ones. A round of a block costs about the
-same whatever its size, so 250 tree replicates run as 125 + 125, and 6
+same whatever its size, so 250 tree replicates run as one block, and 6
 giant replicates at 3000 vertices a side run as one block.
 The tree comparison then counts every replicate's trees with one labelling
 of the block's disjoint union, the conditioned distinct-edge estimates test
@@ -89,13 +89,17 @@ __all__ = [
 RELATIVE_TOLERANCE = 0.03  # published-vs-recomputed agreement threshold
 # most replicates per lock-step block. A round of a block costs about 20
 # numpy calls however many streams it holds, so a few large blocks beat many
-# small ones. On a 2-vCPU VM shared with other tenants, 250 replicates of each
-# genome fixture took, against blocks of 32, about 25% less CPU time at a
-# cap of 64, 30-45% less at 128 and 40-50% less at 256 (4 alternated rounds
-# of 40 such units in one process), and the process peaked at 38.3, 38.5,
-# 39.0 and 40.1 MB. 128 runs them as 125 + 125 for 0.7 MB above blocks of
-# 32, where 256 costs 1.8 MB
-_LOCK_STEP_CAP = 128
+# small ones, up to a point where the block's arrays cost more than its
+# rounds save. On a 2-vCPU VM shared with other tenants (numpy 2.4.6; per
+# replicate, medians of 5 in-process passes of 2,048 replicates, the range
+# over three runs), blocks of 128, 256, 512 and 1024 took: _tree_rows at
+# (22, 38, 67) 23-33, 22-30, 23-32 and 25-35 us; at (22, 21, 28) 15-24,
+# 13-22, 12-20 and 15-21 us; conditioned _distinct_rows at (100, 100, 150)
+# 79, 68-69, 52-58 and 48-53 us. One (22, 38, 67) block peaked at 1.2, 2.3,
+# 4.6 and 9.2 MB (tracemalloc), some 135 bytes an edge, so tree blocks meet
+# this cap long before the edge bound below. 512 runs each genome fixture's
+# 250 replicates as one block
+_LOCK_STEP_CAP = 512
 # most sampled edges (the sum of t over its replicates) per lock-step block,
 # under the cap above. A block's arrays take about 33 bytes per edge
 # (tracemalloc peak of a giant or connectivity block job, sampling and
@@ -666,14 +670,14 @@ def sweep_count_ratio(
     for m, n, t in grid:
         if mc_reps > 0:
             _check_min_degree(m, n, t)
-        exact = theory.count_exact_log(m, n, t)
+        exact = theory._count_exact_log_capped(m, n, t)
         asym = theory.count_asymptotic_log(m, n, t)
         lo, hi = theory.distinct_ratio_bracket(m, n, t)
         columns.append(
             {
                 "log_count_exact": exact,
                 "log_count_asymptotic": asym,
-                "exact_over_asymptotic": math.exp(exact - asym),
+                "exact_over_asymptotic": None if exact is None else math.exp(exact - asym),
                 "bracket_lo": lo,
                 "bracket_hi": hi,
                 "birthday_factor": theory.birthday_factor(m, n, t),

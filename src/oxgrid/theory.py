@@ -99,6 +99,24 @@ def count_exact_log(m: int, n: int, t: int) -> float:
     return 2.0 * left if m == n else left + _log_big(surjection_count(t, n))
 
 
+# the exact count is a big-int inclusion-exclusion over max(m, n) + 1 terms
+# of about t log2(max(m, n)) bits each, and a cap of 10^7 on max(m, n) * t
+# keeps it under about 1.5 s. On a 2-vCPU VM (400, 400, 25000) took 1.4 s,
+# (100, 100, 10^5) 1.5 s and (3162, 3162, 3162), the most vertices a side
+# the cap lets through with t >= max(m, n), 1.4 s, where (50, 50, 10^6)
+# took 15 s and (400, 400, 10^7) over a minute
+_EXACT_COUNT_WORK = 10**7
+
+
+def _count_exact_log_capped(m: int, n: int, t: int) -> float | None:
+    """:func:`count_exact_log`, or None past ``_EXACT_COUNT_WORK`` for
+    max(m, n) * t, where it would take far longer than a second; the
+    reports that give it leave it out there."""
+    if max(m, n) * t > _EXACT_COUNT_WORK:
+        return None
+    return count_exact_log(m, n, t)
+
+
 def _log_expm1(x: float) -> float:
     # log(e^x - 1), stable for large x
     return x + math.log1p(-math.exp(-x)) if x > 1e-3 else math.log(math.expm1(x))
@@ -388,15 +406,6 @@ def _falling_sum(mean: float, k: int, step: int) -> float:
 # Combined report
 # ----------------------------------------------------------------------
 
-# predict's exact count is a big-int inclusion-exclusion over max(m, n) + 1
-# terms of about t log2(max(m, n)) bits each. It stays cheap up to 400 terms,
-# and a cap of 10^7 on max(m, n) * t keeps it near a second: on a 2-vCPU VM
-# (400, 400, 25000) took 1.1 s and (100, 100, 10^5) 1.3 s, where
-# (50, 50, 10^6) took 15 s and (400, 400, 10^7) over a minute
-_EXACT_COUNT_LIMIT = 400
-_EXACT_COUNT_WORK = 10**7
-
-
 @dataclass(frozen=True)
 class PredictionReport:
     """Every analytic quantity the toolkit predicts for one (m, n, t)."""
@@ -457,9 +466,6 @@ def predict(m: int, n: int, t: int, max_tree: int = 4) -> PredictionReport:
     sizes = np.arange(1, max_tree + 1)
     ea = np.zeros((max_tree + 1, max_tree + 1))
     ea[1:, 1:] = expected_trees(sizes[:, None], sizes, m, n, t)
-    side = max(m, n)
-    cheap = side <= _EXACT_COUNT_LIMIT and side * t <= _EXACT_COUNT_WORK
-    exact = count_exact_log(m, n, t) if cheap else None
     return PredictionReport(
         m=m,
         n=n,
@@ -472,7 +478,7 @@ def predict(m: int, n: int, t: int, max_tree: int = 4) -> PredictionReport:
         giant_right_fraction=1.0 - ext.xi_right,
         connectivity_c=connectivity_parameter(m, n, t),
         expected_tree_matrix=ea,
-        log_count_exact=exact,
+        log_count_exact=_count_exact_log_capped(m, n, t),
         log_count_asymptotic=count_asymptotic_log(m, n, t),
         birthday=birthday_factor(m, n, t),
         distinct_bracket=distinct_ratio_bracket(m, n, t),

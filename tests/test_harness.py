@@ -1,11 +1,12 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oxgrid import harness
+from oxgrid import harness, theory
 from oxgrid.errors import AttemptsExhausted, DomainError, InputError
 from oxgrid.generators import sample_gr, sample_tp, sample_tp_edges
 from oxgrid.graph import components, tree_census
@@ -22,7 +23,7 @@ from oxgrid.harness import (
 )
 from oxgrid.ingest import fixture_names, load_fixture
 from oxgrid.rng import split_stream, split_streams
-from oxgrid.theory import expected_trees_exact, extinction_probabilities
+from oxgrid.theory import count_exact_log, expected_trees_exact, extinction_probabilities
 
 # a pool runs only where this process may use two CPUs
 needs_pool = pytest.mark.skipif(harness._pool_workers(2, 2) < 2, reason="one usable CPU")
@@ -123,9 +124,11 @@ def test_tree_comparison_simulation_matches_exact_expectation():
         assert abs(row["sim_mean"] - exact) <= 4 * row["sim_se"]
 
 
-def test_tree_comparison_replicates_run_on_their_own_streams():
-    # 257 replicates run as lock-step blocks of 85, 86 and 86; each must
-    # count the trees of sample_tp on split_stream(seed + dataset, i)
+def test_tree_comparison_replicates_run_on_their_own_streams(monkeypatch):
+    # under a cap of 128, 257 replicates run as lock-step blocks of 85, 86
+    # and 86; each must count the trees of sample_tp on
+    # split_stream(seed + dataset, i)
+    monkeypatch.setattr(harness, "_LOCK_STEP_CAP", 128)
     datasets = [load_fixture(name) for name in ("human_cat", "human_dog")]
     reps, seed = 257, 21
     assert harness._block_bounds(reps, harness._LOCK_STEP_CAP) == [0, 85, 171, 257]
@@ -160,14 +163,14 @@ def test_block_bounds_are_near_equal_and_capped(reps, cap):
 
 
 def test_tree_comparison_does_not_depend_on_the_block_cap(monkeypatch):
-    # 137 replicates split unevenly at every cap but 1: 20 blocks of 6-7 at
-    # a cap of 7, 68 + 69 at the default
+    # 137 replicates run one to a block at a cap of 1, as 20 blocks of 6-7
+    # at a cap of 7, as 68 + 69 at 128 and as one block at the default
     datasets = [load_fixture(name) for name in ("human_monkey", "human_lemur")]
     reports = []
-    for cap in (1, 7, harness._LOCK_STEP_CAP):
+    for cap in (1, 7, 128, harness._LOCK_STEP_CAP):
         monkeypatch.setattr(harness, "_LOCK_STEP_CAP", cap)
         reports.append(run_tree_comparison(datasets, reps=137, seed=17))
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 def test_sweeps_do_not_depend_on_the_block_cut(monkeypatch):
@@ -261,9 +264,10 @@ def test_a_pooled_call_hands_out_the_largest_t_first(monkeypatch):
     assert pooled == sweep_giant(grid, reps=40, seed=6, threads=1)
 
 
-def test_tree_comparison_runs_250_replicates_as_two_blocks(monkeypatch):
-    # the per-round cost of a block is mostly fixed, so 250 replicates must
-    # run as 125 + 125, not as blocks of 32
+def test_tree_comparison_runs_250_replicates_as_one_block(monkeypatch):
+    # the per-round cost of a block is mostly fixed, so each fixture's 250
+    # replicates must run as one block; past the cap of 512, a count runs
+    # as the fewest near-equal blocks
     sizes = []
 
     def counting(m, n, t, rngs):
@@ -271,8 +275,25 @@ def test_tree_comparison_runs_250_replicates_as_two_blocks(monkeypatch):
         return sample_tp_edges(m, n, t, rngs)
 
     monkeypatch.setattr(harness, "sample_tp_edges", counting)
-    run_tree_comparison(reps=250, seed=3)
-    assert sizes == [125, 125] * len(fixture_names())
+    datasets = [load_fixture(name) for name in fixture_names()]
+    run_tree_comparison(datasets, reps=250, seed=3)
+    assert sizes == [250] * len(datasets)
+    sizes.clear()
+    run_tree_comparison(datasets[:1], reps=1100, seed=3)
+    assert sizes == [366, 367, 367]
+
+
+def test_a_tree_block_at_the_cap_stays_small():
+    # one block of _LOCK_STEP_CAP replicates at (22, 38, 67), sampling and
+    # labelling, peaked at 4.6-4.8 MB under tracemalloc at a cap of 512
+    streams = split_streams(5, 0, harness._LOCK_STEP_CAP)
+    tracemalloc.start()
+    try:
+        harness._tree_rows(22, 38, 67, ((1, 1), (2, 1), (1, 2)), streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_tree_comparison_is_identical_across_thread_counts():
@@ -347,6 +368,25 @@ def test_sweep_count_ratio_rows():
     for row in rows:
         assert 0.9 <= row["exact_over_asymptotic"] <= 1.1
         assert row["bracket_lo"] < 1.0 == row["bracket_hi"]
+
+
+def test_count_ratio_leaves_out_an_exact_count_that_costs_too_much(monkeypatch):
+    # the big-int count at (50, 50, 10^6) took 15 s before the row printed;
+    # past max(m, n) * t = 10^7 it is not computed and its two cells are
+    # empty, while (500, 500, 965) keeps its exact count
+    computed = []
+
+    def spy(m, n, t):
+        computed.append((m, n, t))
+        return count_exact_log(m, n, t)
+
+    monkeypatch.setattr(theory, "count_exact_log", spy)
+    far, near = sweep_count_ratio([(50, 50, 10**6), (500, 500, 965)], mc_reps=0)
+    assert computed == [(500, 500, 965)]
+    assert far["log_count_exact"] is None and far["exact_over_asymptotic"] is None
+    assert far["log_count_asymptotic"] > 0
+    assert near["log_count_exact"] == count_exact_log(500, 500, 965)
+    assert ",," in rows_to_csv([far]).splitlines()[1]
 
 
 def test_count_ratio_rows_carry_the_seed_each_point_ran_on():

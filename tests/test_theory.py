@@ -476,7 +476,7 @@ def test_predict_subcritical_report():
 def test_predict_leaves_out_an_exact_count_that_costs_too_much(m, n, t):
     # the big-int count's cost grows with t as well as with the sides: the
     # first two took 15 s and over a minute, so past max(m, n) * t = 10^7
-    # the report gives none, as it does past 400 vertices a side
+    # the report gives none
     assert predict(m, n, t).log_count_exact is None
 
 
