@@ -263,12 +263,12 @@ def _pmf_ratios(rate: float) -> tuple[int, np.ndarray, float]:
 _GUIDE_BUCKETS = 4096
 # Arrays of fewer uniforms take one searchsorted call. The guide lookup
 # has a fixed cost of some 5 to 8 us. Timed on freshly drawn arrays, as the
-# sampler meets them (a search of one array repeated trains the branch
-# predictor and ran 2.5 times as fast), at means 1.27 to 6.64 (the
-# fixtures' and the sweeps'): on a 2-vCPU VM, medians of 400 new arrays in
-# three runs, the guide first won at 500 uniforms for means 2.49 and up,
-# at 500 to 1,000 for 1.27 to 1.93, and tied or won at 1,000 for every
-# mean, e.g. 17.5 against 11.6 us for the search at mean 1.93
+# sampler meets them (searching one array over and over trains the branch
+# predictor and flatters the search), at means 1.27 to 6.64 (the fixtures'
+# and the sweeps'): on a 2-vCPU VM, medians of 400 new arrays in three
+# runs, the guide first won at 500 uniforms for means 2.49 and up, at 500
+# to 1,000 for 1.27 to 1.93, and tied or won at 1,000 for every mean; at
+# mean 1.93 and 1,000 uniforms the search took 17.5 us and the guide 11.6
 _GUIDE_MIN_VALUES = 1000
 # The guide lookup runs over slices of this many uniforms, which bounds its
 # temporaries (np.take copies each slice's int16 index to intp)

@@ -98,7 +98,8 @@ RELATIVE_TOLERANCE = 0.03  # published-vs-recomputed agreement threshold
 # 79, 68-69, 52-58 and 48-53 us. One (22, 38, 67) block peaked at 1.2, 2.3,
 # 4.6 and 9.2 MB (tracemalloc), some 135 bytes an edge, so tree blocks meet
 # this cap long before the edge bound below. 512 runs each genome fixture's
-# 250 replicates as one block
+# 250 replicates as one block: the trees-fixtures benchmark's wall_ref fell
+# 13% against 128 (lower in 10 of 10 alternated pairs)
 _LOCK_STEP_CAP = 512
 # most sampled edges (the sum of t over its replicates) per lock-step block,
 # under the cap above. A block's arrays take about 33 bytes per edge
