@@ -11,7 +11,7 @@
             ``sample_tp``, ``sample_tp_edges`` (one graph per stream for
             many streams, which run in lock-step) and
             ``tp_multiset_counts`` (many graphs on one stream); its exact
-            degree conditioning is described at ``_condition``.
+            degree conditioning is described at ``_paired_stubs``.
 * ``er``  — independent edges with probability p on an M x N grid.
 
 All generators are pure functions of their arguments and an explicit rng
@@ -29,8 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import (
+    _INVERSE_CDF_MAX_RATE,
     TruncatedPoissonParams,
     _pmf_ratios,
+    _split_cdf,
     _support_pmf,
     sample_truncated,
     sample_truncated_streams,
@@ -166,10 +168,11 @@ def sample_gr1(m: int, n: int, t: int, rng: np.random.Generator) -> BipartiteMul
     return BipartiteMultigraph(m, n, np.column_stack(np.divmod(codes, n)))
 
 
-# Vectors of at most this many coordinates are conditioned whole, by
-# rejection with a forced last coordinate; longer ones are split in half
-# first. At 64 the genome fixtures' sides (19 to 38 vertices) stay on the
-# rejection loop, which costs them less than a split and its sum-law table.
+# Vectors of at most this many coordinates are conditioned whole: a side of
+# a graph at rate <= 30 by exact halving, and a side above rate 30 or a
+# restart inside a split by rejection with a forced last coordinate. Longer
+# ones are split in half first, by rejection. The genome fixtures' sides
+# (19 to 38 vertices) are halved.
 _LEAF = 64
 
 # A row whose remaining target lies more than this many standard deviations
@@ -332,8 +335,8 @@ def _leaf_vectors(
     # ~ 1/sqrt(2 pi var count), and a candidate is kept 1/peak times as often
     p_keep = 1.0 / (math.sqrt(2.0 * math.pi * params.variance * count) * peak)
     # Both floors are 8 candidates. At the genome fixtures' one-vector
-    # leaves, where the floor binds, 8 took the least time of 4, 6, 8, 12 and
-    # 16. For many vectors, tp_multiset_counts restarts and short leaves ran
+    # leaves, where the floor binds (they were leaves before halving), 8 took
+    # the least time of 4, 6, 8, 12 and 16. For many vectors, tp_multiset_counts restarts and short leaves ran
     # as fast with 8 as with 64
     if vectors == 1:
         # the wait is geometric, its sd near its mean: batches of about a
@@ -459,9 +462,11 @@ def _condition(
 ) -> np.ndarray:
     """``vectors`` independent vectors per stream of ``count`` iid
     truncated-Poisson degrees with mean total/count, each conditioned on
-    summing to ``total``; shape (len(rngs), vectors, count). Stream ``s``
-    charges its candidate vectors (prefixes and whole leaves) to
-    ``budgets[s]``.
+    summing to ``total`` by rejection; shape (len(rngs), vectors, count).
+    Stream ``s`` charges its candidate vectors (prefixes and whole leaves)
+    to ``budgets[s]``. :func:`_paired_stubs` calls it for the sides it does
+    not halve: longer than ``_LEAF``, above rate 30, or forced; and
+    :func:`_restart` for every restart inside a split.
 
     Probabilistic divide-and-conquer (Arratia & DeSalvo, Combin. Probab.
     Comput. 25(3), 2016). A vector longer than ``_LEAF`` draws its first
@@ -510,6 +515,129 @@ def _condition(
     return out
 
 
+# Generator.random gives multiples of 2^-53, and u < c exactly when
+# u 2^53 < ceil(c 2^53), so the split lookup compares integers below 2^53:
+# each total's CDF row is lifted by its own multiple of 2^53, and rows of
+# ascending totals laid end to end ascend. A short side at rate <= 30 has a
+# total below 30 times its at most 64 vertices, so every lift fits in uint64
+_UNIT = 1 << 53
+
+
+@lru_cache(maxsize=4096)
+def _split_keys(h: int, j: int, total: int) -> tuple[np.ndarray, int]:
+    """``(keys, first)`` of :func:`_split_cdf` ``(h, j, total)``: its entries
+    c with 2^-53 < c < 1 as ceil(c 2^53) + (total - h - j) 2^53 in
+    uint64, and the left sum s of the first of them. A uniform u in
+    (0, 1) maps to ``first`` plus the keys at or below u's, which is the
+    inverse CDF of u; u = 0, a chance of 2^-53, maps to ``first`` too. So
+    the tail below 2^-53 is lumped as the one above 1 - 2^-53 is by
+    rounding, and a row spans the bulk of its law, not its whole support.
+    Cached and shared, so read-only."""
+    cdf = _split_cdf(h, j, total)
+    inside = cdf[(cdf * _UNIT > 1.0) & (cdf < 1.0)]
+    keys = np.ceil(inside * _UNIT).astype(np.uint64) + np.uint64((total - h - j) * _UNIT)
+    keys.setflags(write=False)
+    return keys, h + int(np.count_nonzero(cdf * _UNIT <= 1.0))
+
+
+@lru_cache(maxsize=256)
+def _split_rows(h: int, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, shift)``: the :func:`_split_keys` rows of totals ``lo`` to
+    ``hi`` laid end to end, and per total what turns a uniform's position
+    among them into its left sum. Cached and shared, so read-only: a block
+    of fixture replicates meets a few hundred (h, j, lo, hi) in all."""
+    rows = [_split_keys(h, j, total) for total in range(lo, hi + 1)]
+    sizes = np.array([keys.size for keys, _ in rows])
+    # a row's s is its first plus the rank of the uniform's key in the row
+    shift = np.array([first for _, first in rows]) - (np.cumsum(sizes) - sizes)
+    keys = np.concatenate([keys for keys, _ in rows])
+    keys.setflags(write=False)
+    shift.setflags(write=False)
+    return keys, shift
+
+
+def _left_sums(h: int, j: int, totals: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The left sum of each segment of h + j coordinates whose total is in
+    ``totals``: the inverse CDF of the rate-free law of the sum of its first
+    h coordinates (:func:`_split_cdf`) at the uniform u, given as the
+    integer u 2^53 in ``draws``. The rows of every total from the least to
+    the greatest are laid end to end, so one search serves every segment."""
+    lo = int(totals.min())
+    keys, shift = _split_rows(h, j, lo, int(totals.max()))
+    lifted = (totals - (h + j)).astype(np.uint64) * np.uint64(_UNIT) + draws
+    return np.searchsorted(keys, lifted, side="right") + shift[totals - lo]
+
+
+@lru_cache(maxsize=None)
+def _halving_plan(count: int) -> tuple:
+    """The levels of :func:`_halved_vectors` on ``count`` coordinates, each
+    ``(width, kept, to, shapes)``: the level turns segment totals, in
+    coordinate order, into ``width`` of them. A segment of one coordinate
+    moves from column ``kept[i]`` to ``to[i]``; a longer one of length c
+    splits at h = c // 2, and ``shapes`` holds, per (h, j = c - h), the
+    columns of those segments, the uniforms of their splits (counted level
+    by level, left to right) and the columns of their left and right
+    halves."""
+    segments = [(0, count)]  # (first coordinate, length) in coordinate order
+    levels, split = [], 0
+    while len(segments) < count:
+        nxt, kept, to, shapes = [], [], [], {}
+        for col, (start, length) in enumerate(segments):
+            if length == 1:
+                kept.append(col)
+                to.append(len(nxt))
+                nxt.append((start, 1))
+                continue
+            h = length // 2
+            cols = shapes.setdefault((h, length - h), ([], [], [], []))
+            for part, value in zip(cols, (col, split, len(nxt), len(nxt) + 1)):
+                part.append(value)
+            split += 1
+            nxt += [(start, h), (start + h, length - h)]
+        shapes = [
+            (h, j, *(np.array(part, dtype=np.intp) for part in cols))
+            for (h, j), cols in shapes.items()
+        ]
+        levels.append((len(nxt), np.array(kept, dtype=np.intp), np.array(to, dtype=np.intp), shapes))
+        segments = nxt
+    return tuple(levels)
+
+
+def _halved_vectors(
+    vectors: int, count: int, total: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """``vectors`` vectors per stream of ``count`` iid truncated-Poisson
+    degrees conditioned on summing to ``total``, shape (len(rngs), vectors,
+    count), drawn without rejection, for ``count`` <= 64 at a rate of at
+    most 30. Any block of streams and vectors; each stream draws exactly
+    what it would draw alone, and no budget is spent.
+
+    Exact halving (probabilistic divide-and-conquer with exact splits,
+    Arratia & DeSalvo 2016): a segment of c coordinates with total T splits
+    at h = c // 2, its left half gets the sum s drawn from the rate-free law
+    C(T, s) Surj(s, h) Surj(T - s, c - h) / Surj(T, c) (:func:`_left_sums`)
+    and its right half T - s, until every segment is one coordinate. A
+    vector's c - 1 splits read its c - 1 uniforms, level by level and left
+    to right; each stream draws its vectors' uniforms in one call. The
+    vectors are built a level at a time, one lookup per split shape for all
+    of them."""
+    assert total - count < 2048, "every lifted split row must fit in uint64"
+    draws = stream_uniforms(rngs, vectors * (count - 1)) * _UNIT
+    lanes = len(rngs) * vectors
+    draws = draws.astype(np.uint64).reshape(lanes, count - 1)  # u 2^53 is an integer
+    sums = np.full((lanes, 1), total, dtype=np.int64)
+    for width, kept, to, shapes in _halving_plan(count):
+        nxt = np.empty((lanes, width), dtype=np.int64)
+        nxt[:, to] = sums[:, kept]
+        for h, j, parents, splits, lefts, rights in shapes:
+            whole = sums[:, parents]
+            left = _left_sums(h, j, whole, draws[:, splits])
+            nxt[:, lefts] = left
+            nxt[:, rights] = whole - left
+        sums = nxt
+    return sums.reshape(len(rngs), vectors, count)
+
+
 def _stubs(degrees: np.ndarray) -> np.ndarray:
     """Stub owners of each row of a (..., count) degree array whose rows
     share one sum t: vertex v repeated degree-of-v times, shape (..., t),
@@ -533,22 +661,33 @@ def _paired_stubs(
     ``left[..., k]`` and ``right[..., k]``. A block is either one graph per
     stream (``vectors == 1``) or one stream.
 
-    Each stream conditions its left degree vectors, then its right ones
-    (:func:`_condition`, a budget of ``DEFAULT_MAX_ATTEMPTS`` candidate
-    vectors per graph and side), then shuffles each of its graphs' right
-    stubs in turn, which draws what ``permutation(t)`` draws for each.
+    Each stream conditions its left degree vectors, then its right ones,
+    then shuffles each of its graphs' right stubs in turn, which draws what
+    ``permutation(t)`` draws for each: ``shuffle`` a graph per stream, and
+    ``permuted`` row by row for one stream's many graphs. A side of at most
+    ``_LEAF`` vertices at a rate of at most 30 that is not forced is halved
+    exactly (:func:`_halved_vectors`): it draws no candidates and has no
+    budget. Every other side is conditioned by rejection
+    (:func:`_condition`), with a budget of ``DEFAULT_MAX_ATTEMPTS``
+    candidate vectors per graph and stream.
     """
     _check_min_degree(m, n, t)
     # every stream draws its left side before its right, and both sides are
     # conditioned before any stubs are laid out, which keeps the peak small
-    limit = DEFAULT_MAX_ATTEMPTS * vectors
-    left, right = [
-        _condition(vectors, count, t, rngs, [_Budget(count, t, limit) for _ in rngs])
-        for count in (m, n)
-    ]
-    left, right = _stubs(left), _stubs(right)
-    for rows, rng in zip(right, rngs):
-        rng.permuted(rows, axis=1, out=rows)
+    sides = []
+    for count in (m, n):
+        if count < min(t, _LEAF + 1) and solve_rate(t / count).rate <= _INVERSE_CDF_MAX_RATE:
+            sides.append(_halved_vectors(vectors, count, t, rngs))
+        else:  # a long side, a forced one or one above rate 30
+            budgets = [_Budget(count, t, DEFAULT_MAX_ATTEMPTS * vectors) for _ in rngs]
+            sides.append(_condition(vectors, count, t, rngs, budgets))
+    left, right = map(_stubs, sides)
+    if vectors == 1:
+        # shuffle draws what permuted draws on one row, at less cost a call
+        for rows, rng in zip(right, rngs):
+            rng.shuffle(rows[0])
+    else:
+        rngs[0].permuted(right[0], axis=1, out=right[0])
     return left, right
 
 
@@ -559,10 +698,11 @@ def sample_tp_edges(
     (len(rngs), t, 2): row r is exactly ``sample_tp(m, n, t, rngs[r]).edges``.
 
     The one-graph-per-stream case of :func:`_paired_stubs`: every stream
-    makes the draws that :func:`sample_tp` makes on it, with its own budget
-    of ``DEFAULT_MAX_ATTEMPTS`` candidate vectors per side, and the streams
-    run in lock-step, so a round of candidates costs one inverse-CDF lookup
-    for all of them.
+    makes the draws that :func:`sample_tp` makes on it, and the streams run
+    in lock-step. A short side at rate <= 30 is halved with one lookup per
+    split shape and level for all of them; on a side that rejects, each
+    stream has its own budget of ``DEFAULT_MAX_ATTEMPTS`` candidate vectors,
+    and a round of candidates costs one inverse-CDF lookup for all of them.
     """
     left, right = _paired_stubs(m, n, t, 1, rngs)
     edges = np.empty((len(rngs), t, 2), dtype=np.int64)
@@ -575,9 +715,11 @@ def sample_tp(m: int, n: int, t: int, rng: np.random.Generator) -> BipartiteMult
 
     Left degrees are iid truncated Poisson with mean t/m conditioned to sum
     to t, right degrees likewise with mean t/n (the algorithm is described
-    at :func:`_condition`); vertex stubs are then paired by a single uniform
-    permutation and collapsed. ``DEFAULT_MAX_ATTEMPTS`` bounds the candidate
-    vectors drawn per side. The one-stream case of :func:`sample_tp_edges`.
+    at :func:`_paired_stubs`); vertex stubs are then paired by a single
+    uniform permutation and collapsed. A side of at most 64 vertices at rate
+    <= 30 is halved exactly and draws no candidates; on any other side
+    ``DEFAULT_MAX_ATTEMPTS`` bounds the candidate vectors drawn. The
+    one-stream case of :func:`sample_tp_edges`.
     """
     return BipartiteMultigraph(m, n, sample_tp_edges(m, n, t, [rng])[0])
 
@@ -696,10 +838,10 @@ def tp_multiset_counts(
     """Empirical distribution of the tp model over canonical edge multisets.
 
     The one-stream, ``samples``-graph case of the construction behind
-    :func:`sample_tp` (:func:`_paired_stubs`; the conditioning is described
-    at :func:`_condition`). Keys are sorted tuples of edge codes
-    left*n + right. Each side may draw DEFAULT_MAX_ATTEMPTS candidate
-    vectors per sample.
+    :func:`sample_tp` (:func:`_paired_stubs`, where the conditioning is
+    described). Keys are sorted tuples of edge codes left*n + right. A side
+    that is not halved may draw DEFAULT_MAX_ATTEMPTS candidate vectors per
+    sample; a halved one draws no candidates.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oxgrid.distributions import (
 from oxgrid.errors import DomainError, InputError
 from oxgrid.ingest import fixture_names, load_fixture
 from oxgrid.rng import make_stream
+from oxgrid.theory import surjection_count
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +295,52 @@ def test_pmf_ratios_read_0_outside_the_support_and_1_at_the_peak(rate):
         # a keep uniform, a multiple of 2^-53, almost never falls below
         assert ratio.size <= 2 * math.ceil(12 * math.sqrt(rate)) + 3 and first > 1
         assert max(ratio[1], ratio[-2]) < 2.0**-53
+
+
+# ----------------------------------------------------------------------
+# the log-surjection table and the rate-free split law
+# ----------------------------------------------------------------------
+
+
+def _exact_log_cover(r: int, q: int) -> float:
+    """log(Surj(r, q) / q^r) from the big-int count, for Surj(r, q) > 0:
+    the ratio is taken as an integer of at least 64 bits first."""
+    count, power = surjection_count(r, q), q**r
+    shift = max(0, power.bit_length() - count.bit_length() + 64)
+    return math.log((count << shift) // power) - shift * math.log(2)
+
+
+def test_log_surjections_match_exact_counts():
+    # every Surj(r, q) with q <= 64 and r <= 2,000 on the grid, from the
+    # table's log(Surj / q^r), to 1e-12 relative; -inf where there is none
+    table = distributions._log_surjections(2000)
+    assert table.shape == (2001, 65) and not table.flags.writeable
+    for q in (0, 1, 2, 3, 5, 17, 32, 63, 64):
+        for r in sorted({0, 1, max(q - 1, 0), q, q + 1, 2 * q, 100, 333, 1000, 1999, 2000}):
+            if surjection_count(r, q) == 0:
+                assert table[r, q] == -math.inf, (r, q)
+            else:
+                assert abs(table[r, q] - _exact_log_cover(r, q)) <= 1e-12, (r, q)
+
+
+def test_log_surjection_table_is_capped():
+    with pytest.raises(InputError, match="10000 balls"):
+        distributions._log_surjections(10_001)
+    assert distributions._log_surjections(3).shape == (4, 65)
+
+
+@pytest.mark.parametrize("h,j,total", [(1, 1, 3), (2, 3, 11), (9, 10, 40), (19, 19, 67), (30, 30, 900)])
+def test_split_cdf_matches_the_exact_law(h, j, total):
+    # P(S_h = s | S_(h+j) = total) = C(total, s) Surj(s, h) Surj(total - s, j)
+    # / Surj(total, h + j), whatever the rate
+    whole = surjection_count(total, h + j)
+    exact = [
+        float(Fraction(math.comb(total, s) * surjection_count(s, h) * surjection_count(total - s, j), whole))
+        for s in range(h, total - j + 1)
+    ]
+    cdf = distributions._split_cdf(h, j, total)
+    assert cdf[-1] == 1.0 and (np.diff(cdf) >= 0).all()
+    np.testing.assert_allclose(np.cumsum(exact), cdf, rtol=0, atol=1e-12)
 
 
 def _lookup_points(cdf):

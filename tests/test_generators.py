@@ -2,13 +2,15 @@ import hashlib
 import itertools
 import math
 import time
+import warnings
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from oxgrid import generators
+from oxgrid import distributions, generators
 from oxgrid.distributions import pmf, solve_rate
 from oxgrid.errors import AttemptsExhausted, InputError
 from oxgrid.generators import (
@@ -488,24 +490,30 @@ def _law_gate_samples(shape: str) -> tuple[int, np.ndarray]:
         # one stream's many-vector leaf at rate 50, above the inverse CDF
         budget = generators._Budget(40, 2000, 10**6 * 20_000)
         return 2000, generators._condition(20_000, 40, 2000, [make_stream(2027)], [budget])[0]
-    # left degrees of 300 lock-step streams, one graph each, split at 50
-    m, streams = 100, 300
-    edges = generators.sample_tp_edges(m, 40, 260, [split_stream(2028, i) for i in range(streams)])
-    owners = edges[:, :, 0] + m * np.arange(streams)[:, None]
-    return 260, np.bincount(owners.ravel(), minlength=m * streams).reshape(streams, m)
+    if shape == "halves":
+        # one stream's many-vector block of exact halving at rate 1.2
+        return 67, generators._halved_vectors(20_000, 38, 67, [make_stream(2029)])[0]
+    # degrees of lock-step streams, one graph each: the left side (100) splits
+    # at 50, the right side (40, at rate 6.5) is halved
+    m, n, streams = 100, 40, 300 if shape == "lock-step" else 1000
+    seed, side, count = (2028, 0, m) if shape == "lock-step" else (2030, 1, n)
+    edges = generators.sample_tp_edges(m, n, 260, [split_stream(seed, i) for i in range(streams)])
+    owners = edges[:, :, side] + count * np.arange(streams)[:, None]
+    return 260, np.bincount(owners.ravel(), minlength=count * streams).reshape(streams, count)
 
 
-# Three shapes check 3 + 2 + 3 sums, each by its mean and by chi-square: 16
-# checks share a total level of 10^-3
+# Five shapes check 3 + 2 + 3 + 2 + 2 sums, each by its mean and by
+# chi-square: 24 checks at 10^-3 / 16 each, a total level of 1.5 * 10^-3
 _LAW_GATE_LEVEL = 1e-3 / 16
 
 
-@pytest.mark.parametrize("shape", ["split", "leaf", "lock-step"])
+@pytest.mark.parametrize("shape", ["split", "leaf", "lock-step", "halves", "halves-lock-step"])
 def test_conditioned_partial_sums_match_exact_law(shape):
     # sums of the first half, of all but the last and of the first 64
     # coordinates at real sizes: FFT sum laws past 64 coordinates, strayed
     # restarts at the real _LEAF and _STRAY, ratio windows above rate 30,
-    # many-vector leaf batches and lock-step streams, against the exact law
+    # many-vector leaf batches, exact halving and lock-step streams, against
+    # the exact law
     total, degrees = _law_gate_samples(shape)
     samples, count = degrees.shape
     assert degrees.min() >= 1 and (degrees.sum(axis=1) == total).all()
@@ -610,16 +618,114 @@ def _leaf_replay(count, total, vectors, rng, batch):
     return np.array(rows[:vectors])
 
 
-@pytest.mark.parametrize("m,n,t", [(22, 38, 67), (20, 22, 38)])
+@pytest.mark.parametrize("m,n,t", [(20, 22, 700), (3, 2, 200)])
 def test_tp_edges_keep_each_streams_first_hit(leaf_batches, m, n, t):
     # each stream's left degrees are the first candidate it keeps, drawing
-    # alone in rounds of the left leaf's batch
+    # alone in rounds of the left leaf's batch; above rate 30 a short side is
+    # still conditioned by rejection
     streams = 40
     edges = generators.sample_tp_edges(m, n, t, [split_stream(98, i) for i in range(streams)])
     batch = leaf_batches[0]  # the left side is conditioned first
     for i in range(streams):
         first = _leaf_replay(m, t, 1, split_stream(98, i), batch)[0]
         assert np.array_equal(np.bincount(edges[i, :, 0], minlength=m), first)
+
+
+@lru_cache(maxsize=None)
+def _split_law_cdf(h: int, count: int, total: int) -> np.ndarray:
+    return np.cumsum(_partial_sum_law(h, count, total)[1])
+
+
+def _halving_replay(count: int, total: int, rng: np.random.Generator) -> np.ndarray:
+    """The degrees exact halving gives on ``rng`` alone, from the big-int
+    law: ``count - 1`` uniforms, split k (level by level, left to right)
+    reading the k-th. A segment of c coordinates with total T splits at
+    c // 2; its left half's sum is the inverse CDF of the exact law of the
+    sum of its first c // 2 coordinates at the uniform, and its right half
+    gets the rest."""
+    u = iter(rng.random(count - 1).tolist())
+    level = [(count, total)]
+    while len(level) < count:
+        nxt = []
+        for c, rest in level:
+            if c == 1:
+                nxt.append((1, rest))
+                continue
+            h = c // 2
+            cdf = _split_law_cdf(h, c, rest)
+            s = h + min(int(np.searchsorted(cdf, next(u), side="right")), cdf.size - 1)
+            nxt += [(h, s), (c - h, rest - s)]
+        level = nxt
+    return np.array([rest for _, rest in level])
+
+
+@pytest.mark.parametrize("m,n,t", [(22, 38, 67), (20, 22, 38)])
+def test_tp_edges_halve_each_streams_uniforms(m, n, t):
+    # short sides at rate <= 30 are conditioned by exact halving: each stream
+    # of a lock-step block draws its left side's m - 1 uniforms, then its
+    # right side's n - 1, then shuffles its right stubs, as it would alone
+    streams = 40
+    edges = generators.sample_tp_edges(m, n, t, [split_stream(98, i) for i in range(streams)])
+    for i in range(streams):
+        rng = split_stream(98, i)
+        left, right = _halving_replay(m, t, rng), _halving_replay(n, t, rng)
+        stubs = np.repeat(np.arange(n), right)
+        rng.shuffle(stubs)
+        assert np.array_equal(edges[i, :, 0], np.repeat(np.arange(m), left))
+        assert np.array_equal(edges[i, :, 1], stubs)
+
+
+def test_short_sides_charge_no_budget(monkeypatch):
+    # a side of at most _LEAF vertices at rate <= 30 draws no candidates, so
+    # no budget is made for it; a longer side, or one above rate 30, rejects
+    # and gets one budget per stream
+    made = []
+    budget = generators._Budget
+
+    def spy(count, total, limit):
+        made.append(count)
+        return budget(count, total, limit)
+
+    monkeypatch.setattr(generators, "_Budget", spy)
+    rngs = [split_stream(90, i) for i in range(3)]
+    for m, n, t in [(22, 38, 67), (70, 30, 150), (3, 2, 200), (1, 5, 5)]:
+        made.clear()
+        generators.sample_tp_edges(m, n, t, rngs)
+        rejects = [c for c in (m, n) if c > generators._LEAF or t / c > 30 or c == t]
+        assert made == [c for c in rejects for _ in rngs]
+
+
+def test_halved_block_matches_each_stream_alone():
+    # any block of streams and vectors: each stream draws its vectors'
+    # uniforms in one call, exactly as alone
+    count, total, vectors = 22, 44, 3
+    rngs = [split_stream(89, i) for i in range(5)]
+    block = generators._halved_vectors(vectors, count, total, rngs)
+    assert block.shape == (5, vectors, count) and block.dtype == np.int64
+    assert (block.sum(axis=2) == total).all() and block.min() >= 1
+    for i in range(5):
+        alone = generators._halved_vectors(vectors, count, total, [split_stream(89, i)])
+        assert np.array_equal(block[i], alone[0])
+        rng = split_stream(89, i)
+        for v in range(vectors):
+            assert np.array_equal(block[i, v], _halving_replay(count, total, rng))
+
+
+@pytest.mark.parametrize("count,total", [(60, 900), (64, 1900)])
+def test_split_rows_are_finite_on_the_longest_short_sides(count, total):
+    # every split shape of the longest halved sides, at the least, middle and
+    # greatest total a segment can have: no NaN and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, _, _, shapes in generators._halving_plan(count):
+            for h, j, *_ in shapes:
+                least, most = h + j, total - (count - h - j)
+                for segment in (least, (least + most) // 2, most):
+                    cdf = distributions._split_cdf(h, j, segment)
+                    assert np.isfinite(cdf).all() and cdf[-1] == 1.0
+                    assert cdf[0] >= 0.0 and (np.diff(cdf) >= 0.0).all()
+        block = generators._halved_vectors(200, count, total, [make_stream(88)])
+    assert (block.sum(axis=2) == total).all() and block.min() >= 1
 
 
 def test_sample_tp_draws_are_pinned():
@@ -635,12 +741,13 @@ def test_sample_tp_draws_are_pinned():
 
 
 def test_tp_edges_budget_failure_is_informative(monkeypatch):
+    # both sides are above rate 30, so both are conditioned by rejection
     monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", 1)
     rngs = [split_stream(97, i) for i in range(16)]
     with pytest.raises(AttemptsExhausted) as err:
-        generators.sample_tp_edges(30, 30, 60, rngs)
+        generators.sample_tp_edges(30, 30, 1000, rngs)
     message = str(err.value)
-    for field in ("budget of 1 ", "count=30", "total=60", "observed acceptance", "predicted"):
+    for field in ("budget of 1 ", "count=30", "total=1000", "observed acceptance", "predicted"):
         assert field in message
 
 
@@ -801,14 +908,16 @@ def test_budget_reports_the_first_exhausted_stream():
         short.spend(1, 0.0)
 
 
-@pytest.mark.parametrize("m,n,t", [(22, 30, 60), (70, 30, 150)])
+@pytest.mark.parametrize("m,n,t", [(22, 30, 1000), (70, 30, 150)])
 def test_tp_edges_budgets_are_per_stream(monkeypatch, m, n, t):
     # a block succeeds with budget B exactly when every stream's sample_tp
     # succeeds alone with B; otherwise it fails as the first stream that
-    # fails alone on the left side does, or, if none does, on the right
+    # fails alone on the left side does, or, if none does, on the right.
+    # (22, 30, 1000) rejects on both sides, above rate 30; the right side of
+    # (70, 30, 150) is halved, which spends no budget
     streams = 16
     outcomes = set()
-    for limit in (1, 16, 64, 128, 10**6):
+    for limit in (1, 2, 4, 8, 16, 64, 128, 10**6):
         monkeypatch.setattr(generators, "DEFAULT_MAX_ATTEMPTS", limit)
         failed = []
         for i in range(streams):
