@@ -451,7 +451,7 @@ def test_verify_output_is_pinned(capsys):
                            "--samples", "100000", "--seed", "1000")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e2b567c1d9496b8b6ce65dd4b192bb4df79623aa58fdeb4b4d3dbe73454bad42"
+        "1b5d044e11b1c4dd9fef9c3e2e7fb459002ad9efaecb675f298594d3a866ac53"
     )
 
 

@@ -730,13 +730,13 @@ def test_split_rows_are_finite_on_the_longest_short_sides(count, total):
 
 def test_sample_tp_draws_are_pinned():
     # replicate i of a seed must keep giving the same graph: the sha256 of
-    # these edges has not changed since a leaf's last coordinate was forced
+    # these edges has not changed since short sides were halved exactly
     digest = hashlib.sha256()
     for m, n, t in TP_STREAM_SIZES:
         for i in range(8):
             digest.update(sample_tp(m, n, t, split_stream(2024, i)).edges.tobytes())
     assert digest.hexdigest() == (
-        "30e4b968b72a8c828b7441c820ab0291c60f7cb31180392fef2d86c6e0a6a7ff"
+        "866a03637b24f5ba51c9a07a1402ff7a70ffe851db1f41ec5258dce1d1f27848"
     )
 
 
@@ -956,8 +956,8 @@ def test_tp_multiset_counts_budget_is_per_sample(monkeypatch):
 
 def test_tp_multiset_counts_are_pinned():
     # many samples on one stream, at an enumerable size and with a side
-    # longer than _LEAF: the sha256 of the counts has not changed since a
-    # leaf's last coordinate was forced
+    # longer than _LEAF: the sha256 of the counts has not changed since short
+    # sides were halved exactly
     digests = [
         hashlib.sha256(repr(list(counts.items())).encode()).hexdigest()
         for counts in (
@@ -966,8 +966,8 @@ def test_tp_multiset_counts_are_pinned():
         )
     ]
     assert digests == [
-        "ba68911f1714decd3b093c64eeca6c000ae5720d44927872bc9d23619fa387ac",
-        "74eebab55ab11ddf7a5e4e1147c942b95c64741730431aa8e4c42b66f2f24fcf",
+        "fa692b2a95766b1f02be3dceeb1f6f068fc6457076c92dede7945eb587f3d245",
+        "47bda1e9c7eb0f539cb450afdbea74763884d852ad9f76b0fbbe75fe412a81bc",
     ]
 
 
@@ -975,7 +975,7 @@ def test_tp_multiset_counts_are_pinned():
     "m,n,t,seed,expected",
     [
         (2, 2, 2, 1000, "d727e33e439c13d268c8365dc05db8fc6d0f8767d441a07a2f15321f4f6a229e"),
-        (2, 2, 3, 1001, "3cf3544350285e5321f9e312bfe01dc9c4e4ec62c88c15492accbeae3ff6ef9c"),
+        (2, 2, 3, 1001, "c8c62e084c8551834f3da0fc7194ac01a53dae50fa78138313a03e6f4d629226"),
     ],
 )
 def test_verify_equivalence_tallies_are_pinned(m, n, t, seed, expected):

@@ -495,8 +495,8 @@ def _count_ratio_digest():
         (lambda: _sweep_digest(sweep_connectivity(200, 300, [1.0, 1.5], reps=13, seed=3),
                                CONNECTIVITY_SAMPLED),
          "d609eebf5f63295c53f599f124acf6ce38a0bc201642f6444b4a8349dc8266c0"),
-        (_tree_digest, "9000d02e1cbb0ca42193a0703c395a9be0aef5b28ae192dd68b9a1289f5e2b0f"),
-        (_count_ratio_digest, "88c9dd1b90013c97d5fadfb855551b5d113690ac133c1dcce631a2758a9ddd2b"),
+        (_tree_digest, "60a090c68627d617ebc98360298f11d0489994d6056ff14454140be657334cce"),
+        (_count_ratio_digest, "f82de021128ad2254e0cdc8beaf041eb940aaee09ab44db90d1cf3db394a5c8c"),
     ],
     ids=["giant", "connectivity", "trees", "count-ratio"],
 )
