@@ -335,9 +335,10 @@ def _leaf_vectors(
     # ~ 1/sqrt(2 pi var count), and a candidate is kept 1/peak times as often
     p_keep = 1.0 / (math.sqrt(2.0 * math.pi * params.variance * count) * peak)
     # Both floors are 8 candidates. At the genome fixtures' one-vector
-    # leaves, where the floor binds (they were leaves before halving), 8 took
-    # the least time of 4, 6, 8, 12 and 16. For many vectors, tp_multiset_counts restarts and short leaves ran
-    # as fast with 8 as with 64
+    # leaves, where the floor binds (measured before those sides were
+    # halved), 8 took the least time of 4, 6, 8, 12 and 16. For many
+    # vectors, tp_multiset_counts restarts and short leaves ran as fast with
+    # 8 as with 64
     if vectors == 1:
         # the wait is geometric, its sd near its mean: batches of about a
         # fifth of it keep the overshoot small
@@ -598,7 +599,8 @@ def _halving_plan(count: int) -> tuple:
             (h, j, *(np.array(part, dtype=np.intp) for part in cols))
             for (h, j), cols in shapes.items()
         ]
-        levels.append((len(nxt), np.array(kept, dtype=np.intp), np.array(to, dtype=np.intp), shapes))
+        kept, to = (np.array(part, dtype=np.intp) for part in (kept, to))
+        levels.append((len(nxt), kept, to, shapes))
         segments = nxt
     return tuple(levels)
 

@@ -329,13 +329,17 @@ def test_log_surjection_table_is_capped():
     assert distributions._log_surjections(3).shape == (4, 65)
 
 
-@pytest.mark.parametrize("h,j,total", [(1, 1, 3), (2, 3, 11), (9, 10, 40), (19, 19, 67), (30, 30, 900)])
+@pytest.mark.parametrize(
+    "h,j,total", [(1, 1, 3), (2, 3, 11), (9, 10, 40), (19, 19, 67), (30, 30, 900)]
+)
 def test_split_cdf_matches_the_exact_law(h, j, total):
     # P(S_h = s | S_(h+j) = total) = C(total, s) Surj(s, h) Surj(total - s, j)
     # / Surj(total, h + j), whatever the rate
     whole = surjection_count(total, h + j)
     exact = [
-        float(Fraction(math.comb(total, s) * surjection_count(s, h) * surjection_count(total - s, j), whole))
+        float(Fraction(
+            math.comb(total, s) * surjection_count(s, h) * surjection_count(total - s, j), whole
+        ))
         for s in range(h, total - j + 1)
     ]
     cdf = distributions._split_cdf(h, j, total)
