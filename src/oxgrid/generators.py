@@ -517,41 +517,51 @@ def _condition(
 
 
 # Generator.random gives multiples of 2^-53, and u < c exactly when
-# u 2^53 < ceil(c 2^53), so the split lookup compares integers below 2^53:
-# each total's CDF row is lifted by its own multiple of 2^53, and rows of
-# ascending totals laid end to end ascend. A short side at rate <= 30 has a
-# total below 30 times its at most 64 vertices, so every lift fits in uint64
+# u 2^53 < ceil(c 2^53), so the split lookup compares integers below 2^53.
+# To look up segments of differing totals at once, each total's row is
+# lifted by its own multiple of 2^53, so rows of ascending totals laid end
+# to end ascend. A short side at rate <= 30 has a total below 30 times its
+# at most 64 vertices, so every lift fits in uint64
 _UNIT = 1 << 53
 
 
 @lru_cache(maxsize=4096)
 def _split_keys(h: int, j: int, total: int) -> tuple[np.ndarray, int]:
     """``(keys, first)`` of :func:`_split_cdf` ``(h, j, total)``: its entries
-    c with 2^-53 < c < 1 as ceil(c 2^53) + (total - h - j) 2^53 in
-    uint64, and the left sum s of the first of them. A uniform u in
-    (0, 1) maps to ``first`` plus the keys at or below u's, which is the
-    inverse CDF of u; u = 0, a chance of 2^-53, maps to ``first`` too. So
-    the tail below 2^-53 is lumped as the one above 1 - 2^-53 is by
+    c with 2^-53 < c < 1 as ceil(c 2^53) in uint64, and the left sum s of
+    the first of them. A uniform u in (0, 1) maps to ``first`` plus the keys
+    at or below u 2^53, which is the inverse CDF of u
+    (:func:`_row_left_sums`); u = 0, a chance of 2^-53, maps to ``first``
+    too. So the tail below 2^-53 is lumped as the one above 1 - 2^-53 is by
     rounding, and a row spans the bulk of its law, not its whole support.
     Cached and shared, so read-only."""
     cdf = _split_cdf(h, j, total)
     inside = cdf[(cdf * _UNIT > 1.0) & (cdf < 1.0)]
-    keys = np.ceil(inside * _UNIT).astype(np.uint64) + np.uint64((total - h - j) * _UNIT)
+    keys = np.ceil(inside * _UNIT).astype(np.uint64)
     keys.setflags(write=False)
     return keys, h + int(np.count_nonzero(cdf * _UNIT <= 1.0))
+
+
+def _row_left_sums(h: int, j: int, total: int, draws: np.ndarray) -> np.ndarray:
+    """:func:`_left_sums` where every segment's total is ``total``: one
+    search of that total's own :func:`_split_keys` row, with no lift."""
+    keys, first = _split_keys(h, j, total)
+    return np.searchsorted(keys, draws, side="right") + first
 
 
 @lru_cache(maxsize=256)
 def _split_rows(h: int, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, shift)``: the :func:`_split_keys` rows of totals ``lo`` to
-    ``hi`` laid end to end, and per total what turns a uniform's position
-    among them into its left sum. Cached and shared, so read-only: a block
-    of fixture replicates meets a few hundred (h, j, lo, hi) in all."""
+    ``hi``, each lifted by (total - h - j) 2^53 and laid end to end, and per
+    total what turns a uniform's position among them into its left sum.
+    Cached and shared, so read-only: a block of fixture replicates meets a
+    few hundred (h, j, lo, hi) in all."""
     rows = [_split_keys(h, j, total) for total in range(lo, hi + 1)]
     sizes = np.array([keys.size for keys, _ in rows])
     # a row's s is its first plus the rank of the uniform's key in the row
     shift = np.array([first for _, first in rows]) - (np.cumsum(sizes) - sizes)
-    keys = np.concatenate([keys for keys, _ in rows])
+    lifts = np.arange(lo - h - j, hi - h - j + 1, dtype=np.uint64) * np.uint64(_UNIT)
+    keys = np.concatenate([keys for keys, _ in rows]) + np.repeat(lifts, sizes)
     keys.setflags(write=False)
     shift.setflags(write=False)
     return keys, shift
@@ -562,11 +572,27 @@ def _left_sums(h: int, j: int, totals: np.ndarray, draws: np.ndarray) -> np.ndar
     ``totals``: the inverse CDF of the rate-free law of the sum of its first
     h coordinates (:func:`_split_cdf`) at the uniform u, given as the
     integer u 2^53 in ``draws``. The rows of every total from the least to
-    the greatest are laid end to end, so one search serves every segment."""
+    the greatest are laid end to end (:func:`_split_rows`), so one search
+    serves every segment: each u 2^53 is lifted by its segment's total, and
+    its rank among the rows, shifted by its total's offset, is its left
+    sum. Levels below the first of :func:`_halved_vectors` use it, where
+    the lanes' totals differ."""
     lo = int(totals.min())
     keys, shift = _split_rows(h, j, lo, int(totals.max()))
     lifted = (totals - (h + j)).astype(np.uint64) * np.uint64(_UNIT) + draws
     return np.searchsorted(keys, lifted, side="right") + shift[totals - lo]
+
+
+def _columns(values: list[int]) -> slice | np.ndarray:
+    """Ascending columns as a basic slice when they step evenly, so that
+    reading them is a view and writing them a strided store; otherwise as
+    an index array."""
+    steps = {b - a for a, b in zip(values, values[1:])}
+    if len(steps) > 1:
+        return np.array(values, dtype=np.intp)
+    if not values:
+        return slice(0, 0)
+    return slice(values[0], values[-1] + 1, steps.pop() if steps else 1)
 
 
 @lru_cache(maxsize=None)
@@ -578,7 +604,9 @@ def _halving_plan(count: int) -> tuple:
     splits at h = c // 2, and ``shapes`` holds, per (h, j = c - h), the
     columns of those segments, the uniforms of their splits (counted level
     by level, left to right) and the columns of their left and right
-    halves."""
+    halves. Every column set is a basic slice where it steps evenly
+    (:func:`_columns`), as all do when ``count`` is a power of two, and an
+    index array elsewhere."""
     segments = [(0, count)]  # (first coordinate, length) in coordinate order
     levels, split = [], 0
     while len(segments) < count:
@@ -595,12 +623,8 @@ def _halving_plan(count: int) -> tuple:
                 part.append(value)
             split += 1
             nxt += [(start, h), (start + h, length - h)]
-        shapes = [
-            (h, j, *(np.array(part, dtype=np.intp) for part in cols))
-            for (h, j), cols in shapes.items()
-        ]
-        kept, to = (np.array(part, dtype=np.intp) for part in (kept, to))
-        levels.append((len(nxt), kept, to, shapes))
+        shapes = [(h, j, *map(_columns, cols)) for (h, j), cols in shapes.items()]
+        levels.append((len(nxt), _columns(kept), _columns(to), shapes))
         segments = nxt
     return tuple(levels)
 
@@ -622,18 +646,24 @@ def _halved_vectors(
     vector's c - 1 splits read its c - 1 uniforms, level by level and left
     to right; each stream draws its vectors' uniforms in one call. The
     vectors are built a level at a time, one lookup per split shape for all
-    of them."""
+    of them, and the plan's evenly stepped column sets
+    (:func:`_halving_plan`) make the level's reads views and its writes
+    strided stores. At the first level every lane splits the whole side, so
+    its left sums come from the side's own row (:func:`_row_left_sums`)."""
     assert total - count < 2048, "every lifted split row must fit in uint64"
     draws = stream_uniforms(rngs, vectors * (count - 1)) * _UNIT
     lanes = len(rngs) * vectors
     draws = draws.astype(np.uint64).reshape(lanes, count - 1)  # u 2^53 is an integer
     sums = np.full((lanes, 1), total, dtype=np.int64)
-    for width, kept, to, shapes in _halving_plan(count):
+    for level, (width, kept, to, shapes) in enumerate(_halving_plan(count)):
         nxt = np.empty((lanes, width), dtype=np.int64)
         nxt[:, to] = sums[:, kept]
         for h, j, parents, splits, lefts, rights in shapes:
             whole = sums[:, parents]
-            left = _left_sums(h, j, whole, draws[:, splits])
+            if level:
+                left = _left_sums(h, j, whole, draws[:, splits])
+            else:
+                left = _row_left_sums(h, j, total, draws[:, splits])
             nxt[:, lefts] = left
             nxt[:, rights] = whole - left
         sums = nxt

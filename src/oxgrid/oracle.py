@@ -11,7 +11,8 @@ Every oracle here judges each object it enumerates on its own:
   complete bipartite graph that cover every vertex, as bit masks, and
   judges each on its own mask: a reachability closure from one vertex, run
   over all subsets at once, tells whether the subset is connected, hence a
-  spanning tree.
+  spanning tree. The count is symmetric in the sides, so it is taken with
+  the shorter side on the left, whose rows the closure sweeps.
 - ``tp_equivalence_test`` compares configuration-model samples with the
   exact uniform law of the census, tallied by the same multiset routine.
 
@@ -192,12 +193,16 @@ def enumerate_bipartite_trees(i: int, j: int) -> int:
     A spanning tree covers every vertex, so the candidates are the ij-bit
     masks with i+j-1 bits set and a bit in every row and column, built
     without the others; each is judged on its own mask by a reachability
-    closure from left vertex 0.
+    closure from left vertex 0. Swapping the sides maps the spanning trees
+    of K_{i,j} one to one onto those of K_{j,i}, so the count is that of
+    K_{min(i,j), max(i,j)}, whose closure sweeps the shorter side's at most
+    4 rows rather than up to 19.
     """
     if i < 1 or j < 1:
         raise SizeError("need i, j >= 1")
     if i * j > 20:
         raise SizeError(f"enumeration capped at i*j <= 20, got {i * j}")
+    i, j = min(i, j), max(i, j)
     return int(np.count_nonzero(_spanning_tree_verdicts(i, j, _covering_subsets(i, j))))
 
 

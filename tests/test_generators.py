@@ -711,6 +711,72 @@ def test_halved_block_matches_each_stream_alone():
             assert np.array_equal(block[i, v], _halving_replay(count, total, rng))
 
 
+
+def _reference_plan(count: int) -> list:
+    """Exact halving's levels as index lists, from the segment lengths of
+    each level: per level its width, the columns of its one-coordinate
+    segments before and after, and per split shape (h, j), in the order the
+    shapes first occur, the columns of the split segments, the numbers of
+    their uniforms (level by level, left to right) and the columns of their
+    halves."""
+    levels, lengths, split = [], [count], 0
+    while len(lengths) < count:
+        halves = [[c] if c == 1 else [c // 2, c - c // 2] for c in lengths]
+        starts = np.cumsum([0] + [len(part) for part in halves])
+        kept = [col for col, c in enumerate(lengths) if c == 1]
+        shapes: dict = {}
+        for col, c in enumerate(lengths):
+            if c > 1:
+                parts = shapes.setdefault((c // 2, c - c // 2), ([], [], [], []))
+                for part, value in zip(parts, (col, split, starts[col], starts[col] + 1)):
+                    part.append(int(value))
+                split += 1
+        lengths = [c for part in halves for c in part]
+        levels.append(
+            (len(lengths), kept, [int(starts[col]) for col in kept],
+             [(h, j, *parts) for (h, j), parts in shapes.items()])
+        )
+    return levels
+
+
+@pytest.mark.parametrize("count", range(1, 65))
+def test_halving_plan_slices_select_the_reference_columns(count):
+    # every column set of the plan, a slice or an index array, selects
+    # exactly the reference plan's columns, in order, so a plan edit cannot
+    # silently reorder a split; a power of two is sliced throughout
+    columns = np.arange(count)
+    plan = generators._halving_plan(count)
+    reference = _reference_plan(count)
+    assert len(plan) == len(reference)
+    for (width, kept, to, shapes), (ref_width, *ref_sets, ref_shapes) in zip(plan, reference):
+        assert width == ref_width
+        assert [(h, j) for h, j, *_ in shapes] == [(h, j) for h, j, *_ in ref_shapes]
+        sets = [kept, to] + [part for _, _, *parts in shapes for part in parts]
+        ref_sets += [part for _, _, *parts in ref_shapes for part in parts]
+        for index, ref in zip(sets, ref_sets, strict=True):
+            assert columns[index].tolist() == ref
+            if count & (count - 1) == 0:
+                assert isinstance(index, slice)
+
+
+@pytest.mark.parametrize("where", ["least", "middle", "greatest"])
+def test_first_level_lookup_matches_left_sums(where):
+    # the first level reads its left sums from the side's own row, with no
+    # lift; on every first-level shape, at the least, middle and greatest
+    # total a halved side has (rate <= 30), it must agree with the lifted
+    # lookup at u = 0, at u 2^53 = k - 1 and k for each key k of the row,
+    # and at u = 1 - 2^-53, where a changed compare would show
+    unit = generators._UNIT
+    for count in range(2, 65):
+        h, j = count // 2, count - count // 2
+        most = 30 * count
+        assert solve_rate(most / count).rate <= 30 < solve_rate((most + 1) / count).rate
+        total = {"least": count + 1, "middle": (count + 1 + most) // 2, "greatest": most}[where]
+        keys, _ = generators._split_keys(h, j, total)
+        draws = np.concatenate([[0], keys - 1, keys, [unit - 1]]).astype(np.uint64)
+        lifted = generators._left_sums(h, j, np.full(draws.size, total), draws)
+        assert np.array_equal(generators._row_left_sums(h, j, total, draws), lifted)
+
 @pytest.mark.parametrize("count,total", [(60, 900), (64, 1900)])
 def test_split_rows_are_finite_on_the_longest_short_sides(count, total):
     # every split shape of the longest halved sides, at the least, middle and

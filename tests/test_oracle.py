@@ -213,6 +213,17 @@ def test_enumerate_trees_matches_formula():
         enumerate_bipartite_trees(5, 5)
 
 
+
+def test_enumerate_trees_is_symmetric_in_the_sides():
+    # the count is taken with the shorter side on the left; the closure run
+    # the other way round, over the longer side's rows, counts the same
+    for i in range(1, 21):
+        for j in range(1, 20 // i + 1):
+            count = enumerate_bipartite_trees(i, j)
+            assert count == enumerate_bipartite_trees(j, i) == labeled_tree_count(i, j)
+            unoriented = _spanning_tree_verdicts(i, j, _covering_subsets(i, j))
+            assert np.count_nonzero(unoriented) == count
+
 def test_tv_distance():
     assert tv_distance({(0,): 1.0}, {(0,): 1.0}) == 0.0
     assert tv_distance({(0,): 1.0}, {(1,): 1.0}) == 1.0
