@@ -9,10 +9,11 @@ Every oracle here judges each object it enumerates on its own:
   a small table, so a sequence costs one OR and one compare.
 - ``enumerate_bipartite_trees`` builds the (i+j-1)-edge subsets of the
   complete bipartite graph that cover every vertex, as bit masks, and
-  judges each on its own mask: a reachability closure from one vertex, run
-  over all subsets at once, tells whether the subset is connected, hence a
-  spanning tree. The count is symmetric in the sides, so it is taken with
-  the shorter side on the left, whose rows the closure sweeps.
+  judges each on its own mask: the subset is connected, hence a spanning
+  tree, exactly when the overlap graph of its shorter side is, two of its
+  at most 4 vertices being joined when they share a neighbour. The
+  subset's overlap bits index a table of the connected graphs on that
+  side, built for the call.
 - ``tp_equivalence_test`` compares configuration-model samples with the
   exact uniform law of the census, tallied by the same multiset routine.
 
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import InputError, SizeError
 from .generators import _coverable, _multiset_counts_from_codes, tp_multiset_counts
 from .rng import make_stream
 
@@ -164,25 +166,44 @@ def _covering_subsets(i: int, j: int) -> np.ndarray:
     return subsets
 
 
+def _connected_graphs(size: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Whether each graph on ``size`` labeled vertices is connected, at the
+    index whose bit k says that ``pairs[k]`` is an edge. A graph is connected
+    exactly when vertex 0 reaches every vertex in ``size`` - 1 steps, that
+    is when row 0 of (I + A)^(size-1) has no zero, A being its adjacency."""
+    codes = np.arange(1 << len(pairs))
+    adjacency = np.zeros((codes.size, size, size), dtype=np.int64)
+    for k, (v, w) in enumerate(pairs):
+        adjacency[:, v, w] = adjacency[:, w, v] = (codes >> k) & 1
+    steps = np.linalg.matrix_power(adjacency + np.eye(size, dtype=np.int64), size - 1)
+    return (steps[:, 0] > 0).all(axis=1)
+
+
 def _spanning_tree_verdicts(i: int, j: int, subsets: np.ndarray) -> np.ndarray:
     """One verdict per covering (i+j-1)-edge subset of K_{i,j}: is it a
     spanning tree?
 
     With i+j-1 edges and no vertex uncovered, a subset is a tree exactly when
-    it is connected, and it is connected exactly when the right vertices
-    reached from left vertex 0 are all of them (every left vertex then has a
-    reached neighbour). The reached set of every subset grows at once: a
-    left vertex whose row meets the reached set adds its whole row, and the
-    sweeps over the rows repeat until no reached set changes."""
-    full = (1 << j) - 1
-    rows = [(subsets >> (a * j)) & full for a in range(i)]
-    reached = rows[0]
-    while True:
-        before = reached
-        for row in rows[1:]:
-            reached = np.where((row & reached) != 0, reached | row, reached)
-        if np.array_equal(reached, before):
-            return reached == full
+    it is connected. Join two vertices of the shorter side when they share a
+    neighbour: every vertex of the longer side has a neighbour, so the
+    subset is connected exactly when this overlap graph on at most 4
+    vertices is. Its C(s, 2) edge bits, one per pair of the s shorter-side
+    vertices, index a table of the connected graphs on s labeled vertices.
+    Left vertices a and c overlap when rows a and c of the mask meet; right
+    vertices b and c overlap when ``(subsets >> b) & (subsets >> c)`` has a
+    bit a*j, for some left vertex a."""
+    if i <= j:
+        # left vertex a's neighbours: row a, shifted down to the low j bits
+        size, shifts, mask = i, [a * j for a in range(i)], (1 << j) - 1
+    else:
+        # right vertex b's neighbours: bits a*j of the mask shifted down by b
+        size, shifts, mask = j, list(range(j)), sum(1 << (a * j) for a in range(i))
+    neighbours = [(subsets >> shift) & mask for shift in shifts]
+    pairs = list(combinations(range(size), 2))
+    code = np.zeros(subsets.shape, dtype=np.uint8)
+    for k, (v, w) in enumerate(pairs):
+        code |= ((neighbours[v] & neighbours[w]) != 0).view(np.uint8) << k
+    return _connected_graphs(size, pairs)[code]
 
 
 def enumerate_bipartite_trees(i: int, j: int) -> int:
@@ -192,17 +213,16 @@ def enumerate_bipartite_trees(i: int, j: int) -> int:
 
     A spanning tree covers every vertex, so the candidates are the ij-bit
     masks with i+j-1 bits set and a bit in every row and column, built
-    without the others; each is judged on its own mask by a reachability
-    closure from left vertex 0. Swapping the sides maps the spanning trees
-    of K_{i,j} one to one onto those of K_{j,i}, so the count is that of
-    K_{min(i,j), max(i,j)}, whose closure sweeps the shorter side's at most
-    4 rows rather than up to 19.
+    without the others. Each is judged on its own mask, by whether the
+    overlap graph of the shorter side is connected; that side has at most
+    4 vertices, in either orientation.
+
+    InputError for a side below 1, SizeError when i*j exceeds 20.
     """
     if i < 1 or j < 1:
-        raise SizeError("need i, j >= 1")
+        raise InputError("i and j must be >= 1")
     if i * j > 20:
         raise SizeError(f"enumeration capped at i*j <= 20, got {i * j}")
-    i, j = min(i, j), max(i, j)
     return int(np.count_nonzero(_spanning_tree_verdicts(i, j, _covering_subsets(i, j))))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oxgrid import harness, theory
+from oxgrid import harness, oracle, theory
 from oxgrid.cli import _verify_oracle, main
 from oxgrid.ingest import fixture_names, load_fixture
 
@@ -474,6 +474,42 @@ def test_verify_reports_failures_and_exits_1(capsys, monkeypatch, formula, faili
     assert all(line.startswith("FAIL  " + failing) for line in failed[:-1])
     assert failed[-1].startswith("FAIL  " + checks)
     assert summary == f"1/{len(results)} checks passed"
+
+
+def test_verify_checks_the_formula_in_both_orientations(capsys, monkeypatch):
+    # each unordered shape is enumerated once, but the formula must still be
+    # checked at (i, j) and at (j, i): a formula off only when i > j fails
+    # each of the 31 such pairs
+    exact = theory.labeled_tree_count
+    monkeypatch.setattr(theory, "labeled_tree_count", lambda i, j: exact(i, j) + (i > j))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--cap", "100")
+    assert code == 1
+    failed = [line for line in out.split("\n") if line.startswith("FAIL  ")]
+    expected = [
+        f"FAIL  labeled trees ({i},{j})  (mismatch)"
+        for i in range(1, 21)
+        for j in range(1, 20 // i + 1)
+        if i > j
+    ]
+    assert len(expected) == 31
+    assert failed == expected + ["FAIL  labeled-tree formula vs enumeration (66 pairs)"]
+
+
+def test_verify_enumerates_each_tree_shape_once(capsys, monkeypatch):
+    calls = []
+    enumerate_trees = oracle.enumerate_bipartite_trees
+
+    def counting(i, j):
+        calls.append((i, j))
+        return enumerate_trees(i, j)
+
+    monkeypatch.setattr(oracle, "enumerate_bipartite_trees", counting)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--cap", "100")
+    assert code == 0
+    assert "PASS  labeled-tree formula vs enumeration (66 pairs)\n" in out
+    # the 35 shapes with i <= j and i * j <= 20, each once
+    assert len(calls) == len(set(calls)) == 35
+    assert all(i <= j and i * j <= 20 for i, j in calls)
 
 
 def test_verify_oracle_counts_every_instance_within_the_cap():

@@ -175,6 +175,48 @@ def test_tree_verdicts_match_block_census_subset_by_subset(i, j):
     assert verdicts.any() and (verdicts.all() == (min(i, j) <= 2))
 
 
+def _reference_verdicts(i: int, j: int, subsets: np.ndarray) -> np.ndarray:
+    """Spanning-tree verdicts by a reachability closure from left vertex 0.
+
+    A covering (i+j-1)-edge subset is a tree exactly when it is connected,
+    and it is connected exactly when the right vertices reached from left
+    vertex 0 are all of them. A left vertex whose row meets the reached set
+    adds its whole row, and the sweeps over the rows repeat until no reached
+    set changes."""
+    full = (1 << j) - 1
+    rows = [(subsets >> (a * j)) & full for a in range(i)]
+    reached = rows[0]
+    while True:
+        before = reached
+        for row in rows[1:]:
+            reached = np.where((row & reached) != 0, reached | row, reached)
+        if np.array_equal(reached, before):
+            return reached == full
+
+
+@pytest.mark.parametrize(
+    "i,j", [(i, j) for i in range(1, 21) for j in range(1, 21) if i * j <= 20]
+)
+def test_tree_verdicts_match_the_reachability_closure(i, j):
+    # the overlap graph is taken on the left side when i <= j and on the
+    # right side otherwise, so the ordered pairs cover both orientations
+    subsets = _covering_subsets(i, j)
+    verdicts = _spanning_tree_verdicts(i, j, subsets)
+    assert verdicts.dtype == bool
+    assert np.array_equal(verdicts, _reference_verdicts(i, j, subsets))
+
+
+@pytest.mark.parametrize("size,connected", [(1, 1), (2, 1), (3, 4), (4, 38)])
+def test_connected_graph_table_counts_the_connected_labeled_graphs(size, connected):
+    # connected labeled graphs on 1-4 vertices: 1, 1, 4, 38 (OEIS A001187)
+    pairs = list(combinations(range(size), 2))
+    table = oracle._connected_graphs(size, pairs)
+    assert table.shape == (1 << len(pairs),)
+    assert np.count_nonzero(table) == connected
+    # the complete graph is connected, and without edges only one vertex is
+    assert table[-1] and table[0] == (size == 1)
+
+
 def _unique_tally(rows):
     uniq, counts = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
     return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
@@ -211,6 +253,16 @@ def test_enumerate_trees_matches_formula():
     assert enumerate_bipartite_trees(4, 4) == labeled_tree_count(4, 4)
     with pytest.raises(SizeError):
         enumerate_bipartite_trees(5, 5)
+
+
+@pytest.mark.parametrize("i,j", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+def test_enumerate_trees_rejects_an_empty_side_as_input(i, j):
+    # a side below 1 used to raise SizeError, which means a size cap was
+    # hit; labeled_tree_count raises InputError for the same shape
+    with pytest.raises(InputError, match="i and j must be >= 1"):
+        enumerate_bipartite_trees(i, j)
+    with pytest.raises(InputError, match="i and j must be >= 1"):
+        labeled_tree_count(i, j)
 
 
 
