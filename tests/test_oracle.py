@@ -265,10 +265,9 @@ def test_enumerate_trees_rejects_an_empty_side_as_input(i, j):
         labeled_tree_count(i, j)
 
 
-
 def test_enumerate_trees_is_symmetric_in_the_sides():
-    # the count is taken with the shorter side on the left; the closure run
-    # the other way round, over the longer side's rows, counts the same
+    # the verdicts read the shorter side's overlap graph off the rows when
+    # i <= j and off the columns otherwise; both orientations count the same
     for i in range(1, 21):
         for j in range(1, 20 // i + 1):
             count = enumerate_bipartite_trees(i, j)
